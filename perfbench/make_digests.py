@@ -1,8 +1,8 @@
 """Record the stdout digests the benchmark compares against.
 
-    python3 perfbench/make_digests.py [--jobs 600] [workload ...]
+    python3 perfbench/make_digests.py [workload ...]
 
-Runs the first ``--jobs`` jobs of each workload's stream at the digest seed,
+Runs the first ``JOBS`` jobs of each workload's stream at the digest seed,
 checks every output, and writes ``perfbench/digests/<workload>.json`` with
 one SHA-256 per job. Nothing is written for a workload when a check fails.
 Re-record only when a change is meant to alter CLI output.
@@ -19,17 +19,19 @@ import tempfile
 import run
 from workloads import WORKLOADS, JobStream
 
+JOBS = 600
 
-def record(name: str, count: int) -> bool:
+
+def record(name: str) -> bool:
     workload = WORKLOADS[name]
     pkg = run.import_package()
     run.OUT.mkdir(exist_ok=True)
     stream = JobStream(workload, run.DIGEST_SEED, tempfile.mkdtemp(prefix="digests-", dir=run.OUT), pkg)
     try:
         runner = run.Runner(workload, stream, pkg, digests=[])
-        while len(stream.jobs) < count:
+        while len(stream.jobs) < JOBS:
             stream.extend()
-        runner.loop(0, jobs=stream.jobs[:count])
+        runner.loop(0, jobs=stream.jobs[:JOBS])
     finally:
         shutil.rmtree(stream.workdir, ignore_errors=True)
     if runner.failures:
@@ -46,13 +48,12 @@ def record(name: str, count: int) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--jobs", type=int, default=600)
     parser.add_argument("workloads", nargs="*", metavar="workload", help=", ".join(WORKLOADS))
     args = parser.parse_args(argv)
     unknown = set(args.workloads) - set(WORKLOADS)
     if unknown:
         parser.error(f"unknown workloads {sorted(unknown)}")
-    ok = all([record(name, args.jobs) for name in args.workloads or WORKLOADS])
+    ok = all([record(name) for name in args.workloads or WORKLOADS])
     return 0 if ok else 1
 
 

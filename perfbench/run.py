@@ -13,10 +13,12 @@ blocks (see ``workloads.py``). Each job is
 one or more in-process ``chorepick.cli.main`` calls; its outputs are checked
 and, at the seed the digests were recorded for, compared byte for byte.
 
-``--trace 0`` prints the end-to-end metrics. ``--trace 1`` runs each job of
-the stream twice, with and without span wrappers on every public function of
-the package, and prints the per-layer metrics of the traced runs and the
-tracing overhead; the spans are written to ``.perfbench/``.
+``--trace 0`` prints the end-to-end metrics. ``--trace 1`` runs the stream
+with span wrappers on every public function of the package and prints the
+per-layer metrics; the spans are written to ``.perfbench/``. For the tracing
+overhead it runs each job a second time, untraced, in a second imported copy
+of the package that has had the same warm-up, so neither copy ever runs a job
+the other has just run.
 
 End-to-end times are reported at a reference host speed (see
 ``PROBE_REFERENCE_S``); the figures as measured are printed next to them and
@@ -83,7 +85,6 @@ PER_CALL_SIZES = (("_simplex.maximize.cells", "_simplex.maximize", "cells"),
                   ("simulate.worst_case_bundle.rounds", "simulate.worst_case_bundle", "rounds"),
                   ("simulate.greedy_play.rounds", "simulate.greedy_play", "rounds"),
                   ("algchores.alg_chores.rounds", "algchores.alg_chores", "rounds"),
-                  ("algchores.alg_chores.rotations", "algchores.alg_chores", "1/call"),
                   ("entitle.build_fractional.cells", "entitle.build_fractional", "cells"))
 
 
@@ -175,15 +176,16 @@ class Runner:
         self.latencies: list[float] = []   # of jobs that passed their checks
         self.done_jobs, self.facts, self.digests_seen, self.failures = [], [], [], []
         self.out_bytes = 0
-        # Per job run by loop(): (latency or None when failed, wall incl. checks),
-        # and the probes around them (one more probe than jobs).
-        self.timed: list[tuple[float | None, float]] = []
+        # Per job run by loop(): (program seconds, passed its checks), and the
+        # probes around them (one more probe than jobs).
+        self.timed: list[tuple[float, bool]] = []
         self.probes: list[float] = []
+        self.took = 0.0   # program seconds of the last job run
 
     def run_job(self, job, check=True):
         begin = perf_counter()
         calls = self.workload.run(job, self.pkg.cli.main, self.stream.path)
-        took = perf_counter() - begin
+        took = self.took = perf_counter() - begin
         if not check:
             return calls
         seen, facts = digest(calls), {}
@@ -206,8 +208,8 @@ class Runner:
     def loop(self, seconds: float, jobs=None) -> float:
         """Run whole blocks of jobs until `seconds` of timed wall have passed
         (or run `jobs`), with a probe before each job and after the last;
-        returns the timed wall. Probes and generating further blocks are not
-        timed."""
+        returns that wall, which includes the checks. Probes and generating
+        further blocks are not timed."""
         wall, i = 0.0, 0
         self.probes.append(probe())
         while True:
@@ -222,7 +224,7 @@ class Runner:
             self.run_job(jobs[i] if jobs is not None else self.stream.jobs[i])
             took = perf_counter() - begin
             wall += took
-            self.timed.append((self.latencies[-1] if len(self.latencies) > passed else None, took))
+            self.timed.append((self.took, len(self.latencies) > passed))
             self.probes.append(probe())
             i += 1
 
@@ -233,6 +235,19 @@ def load_digests(name: str) -> list[str]:
         return []
     data = json.loads(path.read_text())
     return data["digests"] if data.get("seed") == DIGEST_SEED else []
+
+
+def warm_up(runner) -> None:
+    """Run the workload's warm-up jobs on the runner's package; any failed
+    check means the benchmark cannot run here."""
+    stream = runner.stream
+    for job in stream.warmup_jobs():
+        calls = runner.run_job(job, check=False)
+        try:
+            runner.workload.check(job, calls)
+        except (CheckFailed, ValueError, KeyError, TypeError, IndexError) as exc:
+            shutil.rmtree(stream.workdir, ignore_errors=True)
+            raise Failure(f"warm-up job {[c.argv for c in calls]} failed: {exc}") from exc
 
 
 def set_up(workload, seed: int):
@@ -252,13 +267,7 @@ def set_up(workload, seed: int):
             stream.extend()
         runner = Runner(workload, stream, pkg,
                         load_digests(workload.name) if seed == DIGEST_SEED else [])
-        for job in stream.warmup_jobs():
-            calls = runner.run_job(job, check=False)
-            try:
-                workload.check(job, calls)
-            except (CheckFailed, ValueError, KeyError, TypeError, IndexError) as exc:
-                shutil.rmtree(stream.workdir, ignore_errors=True)
-                raise Failure(f"warm-up job {[c.argv for c in calls]} failed: {exc}") from exc
+        warm_up(runner)
         took = perf_counter() - begin
         times.append((took, scale(took, before, probe())))
     return times, pkg, stream, runner
@@ -273,16 +282,16 @@ def end_to_end(runner, setup_times) -> tuple[dict, dict, dict]:
     """The end-to-end metrics at the reference host speed, their sample
     counts, and the same figures as measured (raw)."""
     p = runner.probes
-    scaled = [(lat and scale(lat, p[j], p[j + 1]), scale(took, p[j], p[j + 1]))
-              for j, (lat, took) in enumerate(runner.timed)]
+    scaled = [(scale(took, p[j], p[j + 1]), ok) for j, (took, ok) in enumerate(runner.timed)]
     attempted = len(runner.timed)
 
     def figures(timed, setups):
-        lat = [t for t, _ in timed if t is not None]
+        lat = [t for t, ok in timed if ok]
         return {
             "job_p50_ms": statistics.median(lat) * 1000 if lat else math.nan,
             "job_p90_ms": percentile(lat, 0.9) * 1000 if lat else math.nan,
-            "jobs_per_s": len(lat) / sum(w for _, w in timed),
+            # Program time only, like the latencies: the checks are left out.
+            "jobs_per_s": len(lat) / sum(t for t, _ in timed),
             "setup_s": statistics.median(setups),
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "ok_frac": len(lat) / attempted,
@@ -291,18 +300,22 @@ def end_to_end(runner, setup_times) -> tuple[dict, dict, dict]:
     metrics = figures(scaled, [s for _, s in setup_times])
     raw = figures(runner.timed, [r for r, _ in setup_times])
     ok = len(runner.latencies)
-    wall = sum(w for _, w in runner.timed)
+    program = sum(t for t, _ in runner.timed)
     samples = {"job_p50_ms": f"{ok} jobs", "job_p90_ms": f"{ok} jobs, {ok - math.ceil(0.9 * ok)} above",
-               "jobs_per_s": f"{ok} jobs / {wall:.3f} s", "setup_s": f"{len(setup_times)} set-ups",
+               "jobs_per_s": f"{ok} jobs / {program:.3f} s of program time", "setup_s": f"{len(setup_times)} set-ups",
                "peak_rss_mib": "1 process", "ok_frac": f"{ok} of {attempted} jobs"}
     return metrics, samples, raw
 
 
 def trace_loop(runner, tr, seconds: float) -> tuple[float, float]:
-    """Run each job once traced and once untraced, back to back and in
-    alternating order, until `seconds` have passed; returns the summed
-    latencies of both sides. Only the traced side counts as a done job."""
-    plain = Runner(runner.workload, runner.stream, runner.pkg, runner.digests)
+    """Run each job once traced on the runner's package and once untraced on
+    a second copy of it, warmed up alike, in alternating order, until
+    `seconds` have passed; returns the summed latencies of both sides. Each
+    copy sees the stream exactly as an untraced run does, so a cache in the
+    package is never warmed by the other side's run of the same job. Only
+    the traced side counts as a done job."""
+    plain = Runner(runner.workload, runner.stream, import_package(), runner.digests)
+    warm_up(plain)
     begin, traced_wall, plain_wall, i = perf_counter(), 0.0, 0.0, 0
     while perf_counter() - begin < seconds or i not in runner.stream.block_starts:
         if i >= len(runner.stream.jobs):
@@ -366,7 +379,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
             units = dict(END_TO_END)
             extra = {"raw": raw, "mean_probe_s": statistics.mean(runner.probes)}
         else:
-            tr = tracing.Tracer()
+            tr = tracing.Tracer(pkg)
             traced_wall, plain_wall = trace_loop(runner, tr, seconds)
             metrics = per_layer(tr, runner, traced_wall, plain_wall)
             units = dict(per_layer_catalog())
@@ -424,8 +437,8 @@ def run_all(seed: int, seconds: float, trace: bool) -> int:
             continue
         result = json.loads(lines[-1])
         status |= not result["correct"]
-        samples = {line.split()[1]: line[line.index("(") + 1:line.index(")")] for line in lines
-                   if line.startswith("# ") and "(" in line}
+        record = OUT / f"result-{name}-seed{seed}-trace{int(trace)}.json"
+        samples = json.loads(record.read_text())["samples"]
         for key, m in result["metrics"].items():
             rows.append((name, key, m["value"], m["unit"], samples.get(key, "")))
         rows.append((name, "failed", result["failed"], "jobs", f"of {result['attempted']} attempted"))

@@ -123,7 +123,7 @@ class BenchTest(unittest.TestCase):
 
     def test_tracing_keeps_outputs(self):
         s = self.stream("allocate", 0)
-        tr = run.tracing.Tracer()
+        tr = run.tracing.Tracer(self.pkg)
         originals = {name: getattr(self.pkg.shares, name) for name in ("aps_oracle", "maximize")}
         for job in sorted(s.jobs, key=lambda j: (j.props["n"], j.props["m"]))[:6]:
             plain = s.workload.run(job, self.pkg.cli.main, s.path)

@@ -1,8 +1,8 @@
 """Span tracing of the chorepick package from outside it.
 
-A ``Tracer`` wraps every public function of each package module in a
-recording wrapper; ``install`` binds the wrappers in every module namespace
-that binds the function (so ``shares.maximize`` and
+A ``Tracer`` wraps every public function of each module of one imported
+copy of the package in a recording wrapper; ``install`` binds the wrappers in
+every module namespace that binds the function (so ``shares.maximize`` and
 ``entitle.worst_case_bundle`` are traced where they are called) and
 ``uninstall`` restores the originals. Spans (name, start, end, parent, job)
 are kept in flat arrays and written out once, by ``write_spans``. Self time
@@ -14,7 +14,6 @@ installs anything.
 from __future__ import annotations
 
 import gzip
-import importlib
 import inspect
 from array import array
 from time import perf_counter
@@ -33,9 +32,11 @@ def _arg(args, kwargs, pos, key, default=None):
 
 
 class Tracer:
-    def __init__(self, package: str = "chorepick"):
-        self.package = importlib.import_module(package)
-        self.modules = {short: importlib.import_module(f"{package}.{short}") for short in LAYERS}
+    def __init__(self, package):
+        # The package module object, not its name: the benchmark may hold more
+        # than one imported copy, and only this one is traced.
+        self.package = package
+        self.modules = {short: getattr(package, short) for short in LAYERS}
         self.names: list[str] = []
         self.start, self.end = array("d"), array("d")
         self.name, self.parent, self.job = array("i"), array("i"), array("i")
@@ -64,10 +65,6 @@ class Tracer:
             self._count("shares.aps_oracle.distinct", key not in self.aps_keys)
             self.aps_keys.add(key)
 
-        def rotations(a, k, r):
-            self._count("algchores.alg_chores.rounds", _arg(a, k, 0, "inst").m)
-            self._count("algchores.alg_chores.rotations", r.rotations)
-
         return {
             "_simplex.maximize": maximize,
             "shares.aps_oracle": aps,
@@ -78,7 +75,8 @@ class Tracer:
                 "simulate.worst_case_bundle.rounds", _arg(a, k, 1, "m")),
             "simulate.greedy_play": lambda a, k, r: self._count(
                 "simulate.greedy_play.rounds", _arg(a, k, 1, "inst").m),
-            "algchores.alg_chores": rotations,
+            "algchores.alg_chores": lambda a, k, r: self._count(
+                "algchores.alg_chores.rounds", _arg(a, k, 0, "inst").m),
             "entitle.build_fractional": lambda a, k, r: self._count(
                 "entitle.build_fractional.cells", r.n * r.columns),
         }
