@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Allocation, ChoreInstance, equal_entitlements, to_ido
+from .model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements, to_ido,
+                    to_sequence)
+from .simulate import greedy_play
 
 ZERO = Fraction(0)
 
@@ -121,25 +123,20 @@ def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
     bundles, rounds = _core(surrogate.costs, surrogate.m, trace)
     surrogate_alloc = Allocation.from_lists(bundles)
 
-    owner = {}
-    for i, bundle in enumerate(bundles):
+    # Replay the surrogate rounds best-to-worst on the real chores: the
+    # picking sequence that mirrors the surrogate's allocation order.
+    owners = [0] * inst.m
+    for i, bundle in enumerate(bundles, start=1):
         for r in bundle:
-            owner[r] = i
-    remaining = list(range(1, inst.m + 1))
-    real: list[set[int]] = [set() for _ in range(inst.n)]
-    for r in range(inst.m, 0, -1):  # replay best-to-worst
-        i = owner[r]
-        row = inst.costs[i]
-        pick = min(remaining, key=lambda j: (row[j - 1], j))
-        remaining.remove(pick)
-        real[i].add(pick)
-    for i in range(inst.n):
-        got = sum((inst.costs[i][j - 1] for j in real[i]), ZERO)
-        surr = sum((surrogate.costs[i][j - 1] for j in bundles[i]), ZERO)
+            owners[r - 1] = i
+    real = greedy_play(to_sequence(PickingOrder(tuple(owners))), inst)
+    for i in range(1, inst.n + 1):
+        got = inst.bundle_cost(i, real.bundle(i))
+        surr = surrogate.bundle_cost(i, bundles[i - 1])
         assert got <= surr, "reduction must not worsen any bundle"
 
     return AlgChoresResult(
-        allocation=Allocation.from_lists(real),
+        allocation=real,
         surrogate_allocation=surrogate_alloc,
         perms=perms,
         trace=tuple(rounds),

@@ -5,6 +5,7 @@ from --seed, so identical invocations produce byte-identical reports."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -25,15 +26,23 @@ EXIT_GUARD = 5
 EXIT_GUARANTEE = 6
 
 
-def _q(value):
-    if isinstance(value, Fraction):
+def _encode(value):
+    """Render every Fraction inside dicts, lists and tuples as a "p/q" string.
+
+    Dict keys pass through unchanged; the str keys the commands build sort
+    as text under sort_keys ("10" before "2")."""
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [str(v) if type(v) is Fraction else _encode(v) for v in value]
+    if type(value) is Fraction:
         return str(value)
     return value
 
 
 def _emit(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(_encode(payload), sort_keys=True, indent=2))
 
 
 def _parse_entitlements(text: str) -> tuple[Fraction, ...]:
@@ -41,25 +50,27 @@ def _parse_entitlements(text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_order(text: str) -> PickingOrder:
-    if text in ridge.FIXED_ORDER_AGENTS:
+    if text in ridge.FIXED_ORDERS:
         return ridge.fixed_order(text)
     if text.endswith(".json"):
         with open(text, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        if "assignment" in data:
-            return PickingOrder(prefix=tuple(data["assignment"]))
-        return PickingOrder(prefix=tuple(data["prefix"]), cycle=tuple(data.get("cycle", ())))
+        try:
+            if "assignment" in data:
+                return PickingOrder(prefix=tuple(data["assignment"]))
+            return PickingOrder(prefix=tuple(data["prefix"]), cycle=tuple(data.get("cycle", ())))
+        except (KeyError, TypeError) as exc:
+            raise InstanceError(f"{text}: an order file is a JSON object with a 'prefix' "
+                                f"list (and an optional 'cycle') or an 'assignment' list") from exc
     prefix, _, cycle = text.partition(":")
     return PickingOrder(prefix=tuple(int(c) for c in prefix),
                         cycle=tuple(int(c) for c in cycle))
 
 
-def _order_agent_count(text: str, order: PickingOrder, flag_n) -> int:
-    if flag_n:
-        return flag_n
-    if text in ridge.FIXED_ORDER_AGENTS:
-        return ridge.FIXED_ORDER_AGENTS[text]
-    return max(order.prefix + order.cycle)
+def _allocation(inst: ChoreInstance, alloc) -> dict:
+    agents = range(1, inst.n + 1)
+    return {"bundles": {str(i): sorted(alloc.bundle(i)) for i in agents},
+            "bundle_costs": {str(i): inst.bundle_cost(i, alloc.bundle(i)) for i in agents}}
 
 
 def _cmd_gen(args) -> dict:
@@ -85,7 +96,7 @@ def _cmd_shares(args) -> dict:
     inst = load_instance(args.input)
     report = shares.share_report(inst, with_mms=not args.no_mms,
                                  with_aps=not args.no_aps, force=args.force)
-    return {"shares": report.to_dict()}
+    return {"shares": dataclasses.asdict(report)}
 
 
 def _cmd_build(args) -> dict:
@@ -95,9 +106,9 @@ def _cmd_build(args) -> dict:
         sched = ridge.ridge_periods(args.n, parse_rational(args.rho), args.schedule)
         order = ridge.synthesize_order(sched, args.m)
         return {
-            "order": list(order.expand(args.m)),
-            "periods": [str(p) for p in sched.periods],
-            "classes": list(sched.classes),
+            "order": order.expand(args.m),
+            "periods": sched.periods,
+            "classes": sched.classes,
         }
     if args.entitlements is None:
         raise ValueError("arbitrary mode needs --entitlements")
@@ -106,17 +117,15 @@ def _cmd_build(args) -> dict:
                else entitle.ScalingFunction(parse_rational(args.t)))
     pipeline = entitle.build_fractional(ents, scaling, args.m)
     out = {
-        "order": list(pipeline.order().expand(args.m)),
-        "sorted_entitlements": [str(b) for b in pipeline.sorted_entitlements],
+        "order": pipeline.order().expand(args.m),
+        "sorted_entitlements": pipeline.sorted_entitlements,
         "columns": pipeline.columns,
         "sentinel": pipeline.sentinel,
     }
     if not args.no_trace:
-        out["stages"] = {
-            name: [[str(v) for v in row] for row in getattr(pipeline, name)]
-            for name in ("proportional", "giveup", "rebalanced", "scaled")
-        }
-        out["stages"]["final"] = [[str(v) for v in row] for row in pipeline.final.shares]
+        out["stages"] = {name: getattr(pipeline, name)
+                         for name in ("proportional", "giveup", "rebalanced", "scaled")}
+        out["stages"]["final"] = pipeline.final.shares
     return out
 
 
@@ -125,25 +134,20 @@ def _cmd_simulate(args) -> dict:
     order = _parse_order(args.order)
     seq = to_sequence(order, inst.m)
     played = simulate.greedy_play(seq, inst)
-    return {
-        "sequence": list(seq.rounds),
-        "bundles": {str(i): sorted(played.bundle(i)) for i in range(1, inst.n + 1)},
-        "bundle_costs": {str(i): _q(inst.bundle_cost(i, played.bundle(i)))
-                         for i in range(1, inst.n + 1)},
-    }
+    return {"sequence": seq.rounds, **_allocation(inst, played)}
 
 
 def _cmd_evaluate(args) -> dict:
     order = _parse_order(args.order)
-    n = _order_agent_count(args.order, order, args.n)
+    n = args.n or max(order.prefix + order.cycle)
     result = simulate.evaluate_order(order, n, args.m)
     return {
-        "ratio": _q(result.ratio),
+        "ratio": result.ratio,
         "per_agent": {
             str(agent): {
-                "positions": list(ev.positions),
-                "ratio": _q(ev.ratio),
-                "binding_valuation": [_q(v) for v in ev.valuation],
+                "positions": ev.positions,
+                "ratio": ev.ratio,
+                "binding_valuation": ev.valuation,
             }
             for agent, ev in result.per_agent.items()
         },
@@ -152,90 +156,55 @@ def _cmd_evaluate(args) -> dict:
 
 def _cmd_ratio_test(args) -> dict:
     sched = ridge.ridge_periods(args.n, parse_rational(args.rho), args.mode)
-    verdict = ridge.covering_test(sched, args.horizon)
-    out = verdict.to_dict()
-    out["ridge_ok"] = sched.ridge_ok
-    return out
+    return {**ridge.covering_test(sched, args.horizon).to_dict(), "ridge_ok": sched.ridge_ok}
 
 
 def _cmd_search(args) -> dict:
     best = ridge.best_ratio_search(args.n, args.mode, parse_rational(args.tol))
-    return {"best_rho": _q(best), "best_rho_float": float(best)}
+    return {"best_rho": best, "best_rho_float": float(best)}
 
 
 def _cmd_algchores(args) -> dict:
     inst = load_instance(args.input)
     result = algchores.alg_chores(inst, trace=args.trace)
-    out = {
-        "bundles": {str(i): sorted(result.allocation.bundle(i))
-                    for i in range(1, inst.n + 1)},
-        "bundle_costs": {str(i): _q(inst.bundle_cost(i, result.allocation.bundle(i)))
-                         for i in range(1, inst.n + 1)},
-        "rotations": result.rotations,
-    }
+    out = {**_allocation(inst, result.allocation), "rotations": result.rotations}
     if args.trace:
-        out["rounds"] = [
-            {"chore": r.chore, "recipient": r.recipient,
-             "rotations": [list(c) for c in r.rotations]}
-            for r in result.trace
-        ]
+        out["rounds"] = [dataclasses.asdict(r) for r in result.trace]
     if args.with_aps:
         ratios = {}
         for i in range(1, inst.n + 1):
             aps = shares.aps_oracle(inst.row(i), inst.entitlements[i - 1], force=args.force)
-            held = inst.bundle_cost(i, result.allocation.bundle(i))
-            ratios[str(i)] = {"anyprice": _q(aps),
-                              "ratio": _q(held / aps) if aps else None}
+            held = out["bundle_costs"][str(i)]
+            ratios[str(i)] = {"anyprice": aps, "ratio": held / aps if aps else None}
         out["anyprice_ratios"] = ratios
     return out
 
 
 def _cmd_envy(args) -> dict:
+    seq = PickingSequence(tuple(int(x) for x in args.seq.split(","))) if args.seq else None
     if args.tension_example is not None:
-        seq = PickingSequence(tuple(int(x) for x in args.seq.split(","))) if args.seq else None
-        ex = fairness.envy_tension_example(args.tension_example, seq)
-        return {
-            "n": ex.n, "k": ex.k, "m": ex.m,
-            "entitlements": [str(x) for x in ex.entitlements],
-            "heavy_costs": [str(x) for x in ex.heavy_costs],
-            "anyprice_upper": _q(ex.anyprice_upper),
-            "ratio_bound": _q(ex.ratio_bound),
-            "suffix_holds_toward_heavy": ex.suffix_holds_toward_heavy,
-            "heavy_guarantee": _q(ex.heavy_guarantee),
-        }
-    if args.seq is None:
+        return dataclasses.asdict(fairness.envy_tension_example(args.tension_example, seq))
+    if seq is None:
         raise ValueError("--seq is required unless --tension-example is used")
-    seq = PickingSequence(tuple(int(x) for x in args.seq.split(",")))
     if args.check_suffix:
         i, j = args.check_suffix
-        res = fairness.suffix_envy_condition(seq, i, j)
-        return {
-            "holds": res.holds,
-            "suffix_start": res.suffix_start,
-            "witness": None if res.witness is None else [_q(v) for v in res.witness],
-        }
+        return dataclasses.asdict(fairness.suffix_envy_condition(seq, i, j))
     if args.audit is None or args.input is None:
         raise ValueError("audit mode needs --audit and --input")
     inst = load_instance(args.input)
     report = fairness.ef_ra_audit(seq, args.audit, inst.costs, inst.entitlements)
-    return {
-        "mode": report.mode,
-        "mean_guarantee_is_proportional": report.mean_guarantee_is_proportional,
-        "dominates_uniform": report.dominates_uniform,
-        "no_upward_envy": report.no_upward_envy,
-        "ok": report.ok,
-    }
+    return {**dataclasses.asdict(report), "ok": report.ok}
 
 
 def _cmd_verify(args) -> dict:
     ents = _parse_entitlements(args.entitlements)
     report = entitle.verify_guarantee(ents, trials=args.trials, seed=args.seed, m=args.m)
     return {
-        "bound": _q(report.bound),
-        "max_adversarial": _q(report.max_adversarial),
-        "max_simulated": _q(report.max_simulated),
+        "bound": report.bound,
+        "max_adversarial": report.max_adversarial,
+        "max_simulated": report.max_simulated,
         "trials": report.trials,
-        "order": list(report.order),
+        "order": report.order,
         "ok": report.ok,
     }
 
@@ -327,13 +296,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.run(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (InstanceError, ValueError) as exc:
+    except (InstanceError, ValueError, ridge.CoveringViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     _emit(payload)

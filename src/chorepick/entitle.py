@@ -42,6 +42,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .model import PickingOrder, to_sequence
+from .ridge import bisect_root
 from .shares import chore_share
 from .simulate import greedy_play, worst_case_bundle
 from . import model as _model
@@ -63,14 +64,7 @@ def scaling_margin(t: float) -> float:
 def solve_t(tol: float = 1e-6) -> float:
     """Smallest usable scaling parameter, by bisection on the unit-integral
     condition; the guaranteed ratio is then 1 + t/2 (~1.733)."""
-    lo, hi = 1.4, 1.6
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if scaling_margin(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return bisect_root(scaling_margin, 1.4, 1.6, tol)
 
 
 @dataclass(frozen=True)
@@ -369,14 +363,15 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
     seeded random common-order cost rows played greedily and compared to the
     exact chore share. Both must stay within 1 + t/2.
     """
+    if m < 1:
+        raise ValueError(f"need at least one chore, got m = {m}")
     b = [Fraction(x) for x in entitlements]
     n = len(b)
     bound = 1 + Fraction(t) / 2
     pipeline = build_fractional(b, ScalingFunction(Fraction(t)), m)
     order = pipeline.order()
-    expanded = order.expand(m)
-    positions = {i: tuple(r for r, who in enumerate(expanded, start=1) if who == i)
-                 for i in range(1, n + 1)}
+    found = order.positions(m)
+    positions = {i: found.get(i, ()) for i in range(1, n + 1)}
 
     adversarial: dict[int, Fraction] = {}
     for i in range(1, n + 1):
@@ -402,7 +397,7 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
 
     return GuaranteeReport(
         bound=bound,
-        order=expanded,
+        order=order.expand(m),
         positions=positions,
         adversarial=adversarial,
         max_adversarial=max_adv,

@@ -48,10 +48,6 @@ def parse_rational(value) -> Fraction:
     raise InstanceError(f"not a rational: {value!r} (floats are rejected; pass a string)")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ChoreInstance:
     """n agents with exact entitlements and an n-by-m nonnegative cost matrix."""
@@ -92,9 +88,6 @@ class ChoreInstance:
         """True iff every agent's costs are nonincreasing in the chore index."""
         return all(row[j] >= row[j + 1] for row in self.costs for j in range(len(row) - 1))
 
-    def cost(self, agent: int, chore: int) -> Fraction:
-        return self.costs[agent - 1][chore - 1]
-
     def row(self, agent: int) -> tuple[Fraction, ...]:
         return self.costs[agent - 1]
 
@@ -102,18 +95,12 @@ class ChoreInstance:
         row = self.costs[agent - 1]
         return sum((row[j - 1] for j in chores), Fraction(0))
 
-    def total_cost(self, agent: int) -> Fraction:
-        return sum(self.costs[agent - 1], Fraction(0))
-
-    def proportional_share(self, agent: int) -> Fraction:
-        return self.entitlements[agent - 1] * self.total_cost(agent)
-
     def to_dict(self) -> dict:
         return {
             "agents": self.n,
             "chores": self.m,
-            "entitlements": [format_rational(b) for b in self.entitlements],
-            "costs": [[format_rational(c) for c in row] for row in self.costs],
+            "entitlements": [str(b) for b in self.entitlements],
+            "costs": [[str(c) for c in row] for row in self.costs],
         }
 
     @classmethod
@@ -215,7 +202,6 @@ class PickingOrder:
         if not self.cycle:
             raise InstanceError(f"finite order of length {len(self.prefix)} cannot cover {m} rounds")
         out = list(self.prefix)
-        k = len(self.cycle)
         while len(out) < m:
             out.extend(self.cycle)
         return tuple(out[:m])
@@ -293,6 +279,3 @@ class Allocation:
 
     def bundle(self, agent: int) -> frozenset[int]:
         return self.bundles[agent - 1]
-
-    def as_sorted_lists(self) -> list[list[int]]:
-        return [sorted(b) for b in self.bundles]

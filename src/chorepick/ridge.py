@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import InstanceError, PickingOrder
 
@@ -69,47 +69,31 @@ class ThresholdSchedule:
     def ridge_ok(self) -> bool:
         return not self.ridge_violations
 
+    def _head(self, agent: int) -> tuple[int, ...]:
+        """The thresholds before the period steps: the first c of (i, 2n-i+1)
+        for class c. The steps then add ceil(k*p) to the head's last entry
+        (or to 0 when the head is empty)."""
+        return (agent, 2 * self.n - agent + 1)[:self.classes[agent - 1]]
+
     def threshold(self, agent: int, t: int) -> int:
         """The t-th (1-based) release threshold of an agent."""
-        cls = self.classes[agent - 1]
+        head = self._head(agent)
+        if t <= len(head):
+            return head[t - 1]
         p = self.periods[agent - 1]
-        num, den = p.numerator, p.denominator
-
-        def ceil_mult(k: int) -> int:
-            return -((-k * num) // den)
-
-        if cls == 0:
-            return ceil_mult(t)
-        if cls == 1:
-            return agent if t == 1 else agent + ceil_mult(t - 1)
-        if t == 1:
-            return agent
-        if t == 2:
-            return 2 * self.n - agent + 1
-        return 2 * self.n - agent + 1 + ceil_mult(t - 2)
+        base = head[-1] if head else 0
+        k = t - len(head)
+        return base + (-((-k * p.numerator) // p.denominator))
 
     def thresholds_upto(self, agent: int, horizon: int) -> list[int]:
         """All thresholds of an agent with value <= horizon, in order."""
-        cls = self.classes[agent - 1]
+        head = self._head(agent)
+        if head and head[-1] > horizon:
+            return [t for t in head if t <= horizon]
+        out = list(head)
+        base = head[-1] if head else 0
         p = self.periods[agent - 1]
         num, den = p.numerator, p.denominator
-        out: list[int] = []
-        if cls == 1:
-            if agent > horizon:
-                return out
-            out.append(agent)
-            base = agent
-        elif cls == 2:
-            if agent > horizon:
-                return out
-            out.append(agent)
-            second = 2 * self.n - agent + 1
-            if second > horizon:
-                return out
-            out.append(second)
-            base = second
-        else:
-            base = 0
         k = 1
         while True:
             t = base + (-((-k * num) // den))
@@ -127,6 +111,8 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
     (Fraction(7, 1), Fraction(14, 3), Fraction(14, 5), Fraction(7, 2))
     """
     rho = Fraction(rho)
+    if n < 1:
+        raise ValueError(f"need at least one agent, got n = {n}")
     if rho <= 1:
         raise ValueError(f"target ratio must exceed 1, got {rho}")
     if mode not in ("agent", "super"):
@@ -190,8 +176,7 @@ class CoveringVerdict:
             "verdict": self.status,
             "failing_k": self.failing_k,
             "covering_ratio": self.covering_ratio,
-            "covering_ratio_exact": None if self.covering_ratio_exact is None
-            else str(self.covering_ratio_exact),
+            "covering_ratio_exact": self.covering_ratio_exact,
             "horizon": self.horizon,
         }
 
@@ -202,15 +187,6 @@ def covering_ratio(sched: ThresholdSchedule) -> tuple[float, Fraction | None]:
         exact = sum((1 / p for p in sched.periods), Fraction(0))
         return float(exact), exact
     return math.fsum(p.denominator / p.numerator for p in sched.periods), None
-
-
-def _scan_coverage(threshold_counts: list[int], upto: int) -> int | None:
-    covered = 0
-    for k in range(1, upto + 1):
-        covered += threshold_counts[k]
-        if covered < k:
-            return k
-    return None
 
 
 def covering_test(sched: ThresholdSchedule,
@@ -236,11 +212,8 @@ def covering_test(sched: ThresholdSchedule,
         clean = "inconclusive"
     horizon = max(horizon, 2 * n)
 
-    counts = [0] * (horizon + 1)
-    for agent in range(1, n + 1):
-        for t in sched.thresholds_upto(agent, horizon):
-            counts[t] += 1
-    failing = _scan_coverage(counts, horizon)
+    failing = covering_of_lists(
+        (sched.thresholds_upto(agent, horizon) for agent in range(1, n + 1)), horizon)
     status = "fail" if failing is not None else clean
     return CoveringVerdict(status, failing, r_float, r_exact, horizon)
 
@@ -300,7 +273,8 @@ def replay_thresholds(order: PickingOrder, sched: ThresholdSchedule,
     return violations
 
 
-_FIXED = {
+# (prefix, cycle) of each named order; its agent count is its largest label.
+FIXED_ORDERS = {
     "n2": ((1, 2, 2, 1), (2, 2, 1)),
     "n3": ((1, 2, 3, 3, 2, 1), (2, 3, 3, 2, 1)),
     "n4": ((1, 2, 3, 4, 4, 3, 2, 1), (4, 3, 2, 4, 3, 3, 1, 4, 3, 2, 4, 3, 2, 1)),
@@ -311,16 +285,14 @@ _FIXED = {
                 5, 7, 1, 6, 3, 8, 5, 6, 7, 8)),
 }
 
-FIXED_ORDER_AGENTS = {"n2": 2, "n3": 3, "n4": 4, "super8": 8}
-
 
 def fixed_order(name: str) -> PickingOrder:
     """Named periodic orders with hand-verified ratios: n2 (4/3), n3 (7/5),
     n4 (13/9), and the eight-block order super8 (8/5)."""
     try:
-        prefix, cycle = _FIXED[name]
+        prefix, cycle = FIXED_ORDERS[name]
     except KeyError:
-        raise InstanceError(f"unknown fixed order {name!r}; choose from {sorted(_FIXED)}")
+        raise InstanceError(f"unknown fixed order {name!r}; choose from {sorted(FIXED_ORDERS)}")
     return PickingOrder(prefix=prefix, cycle=cycle)
 
 
@@ -339,14 +311,22 @@ class HalvedSchedule:
         return self.failing_k is None
 
 
-def covering_of_lists(lists: Sequence[Sequence[int]], upto: int) -> int | None:
-    """Smallest k <= upto where fewer than k list entries are <= k, or None."""
+def covering_of_lists(lists: Iterable[Sequence[int]], upto: int) -> int | None:
+    """Smallest k <= upto where fewer than k list entries are <= k, or None.
+
+    ``lists`` may be a generator, so only one list need be alive at a time.
+    """
     counts = [0] * (upto + 1)
     for lst in lists:
         for t in lst:
             if t <= upto:
                 counts[t] += 1
-    return _scan_coverage(counts, upto)
+    covered = 0
+    for k in range(1, upto + 1):
+        covered += counts[k]
+        if covered < k:
+            return k
+    return None
 
 
 def halve_thresholds(sched: ThresholdSchedule, horizon: int,
@@ -404,7 +384,8 @@ def halve_thresholds(sched: ThresholdSchedule, horizon: int,
     return HalvedSchedule(half_n, tuple(folded), check_to, failing, tuple(bad_pairs))
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
+def bisect_root(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f on [lo, hi], where f changes sign, to within tol."""
     flo, fhi = f(lo), f(hi)
     if flo == 0:
         return lo
@@ -438,7 +419,7 @@ def ridge_rate_margin(rho: float) -> float:
 def solve_rho_star(tol: float = 1e-6) -> float:
     """Smallest asymptotically coverable ratio for the period family (~1.52408),
     which is also the large-n lower bound for ridge orders."""
-    return _bisect_root(ridge_rate_margin, 1.4, 1.6, tol)
+    return bisect_root(ridge_rate_margin, 1.4, 1.6, tol)
 
 
 def best_ratio_search(n: int, mode: str = "agent",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._simplex import LpInfeasible, LpUnbounded, maximize
-from .model import ChoreInstance, SizeGuardError, format_rational
+from .model import ChoreInstance, SizeGuardError
 
 ZERO = Fraction(0)
 
@@ -210,17 +210,6 @@ class ShareReport:
     chore: tuple[Fraction, ...]
     maximin: tuple[Fraction | None, ...]
     anyprice: tuple[Fraction | None, ...]
-
-    def to_dict(self) -> dict:
-        def fmt(values):
-            return [None if v is None else format_rational(v) for v in values]
-
-        return {
-            "proportional": fmt(self.proportional),
-            "chore": fmt(self.chore),
-            "maximin": fmt(self.maximin),
-            "anyprice": fmt(self.anyprice),
-        }
 
 
 def share_report(inst: ChoreInstance, *, with_mms: bool = True, with_aps: bool = True,

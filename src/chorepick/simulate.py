@@ -187,13 +187,13 @@ class OrderEvaluation:
 
 def evaluate_order(order: PickingOrder, n: int, m: int) -> OrderEvaluation:
     """Worst-case chore-share ratio of an order truncated to m rounds."""
-    expanded = order.expand(m)
-    if any(not 1 <= who <= n for who in expanded):
+    positions = order.positions(m)
+    if any(not 1 <= who <= n for who in positions):
         raise ValueError(f"order names agents outside 1..{n}")
     per_agent: dict[int, AgentEvaluation] = {}
     worst = ZERO
     for agent in range(1, n + 1):
-        J = tuple(r for r, who in enumerate(expanded, start=1) if who == agent)
+        J = positions.get(agent, ())
         wc = worst_case_ratio_cs(J, n, m)
         per_agent[agent] = AgentEvaluation(J, wc.value, wc.valuation)
         worst = max(worst, wc.value)
@@ -227,13 +227,13 @@ def nonridge_witness(order: PickingOrder, n: int) -> RidgeDeviation | None:
     ratio 3/2), or a recipient of round j <= n whose second chore arrives
     before round 2n-j+1 (j ones then 2(n-j) halves, ratio 3/2).
     """
-    head = order.expand(2 * n)
     m = 2 * n
+    head = order.expand(m)
+    positions = order.positions(m)
 
     def deviation(kind, agent, row):
-        positions = tuple(r for r, who in enumerate(head, start=1) if who == agent)
         floor = Fraction(2) if kind == "double-prefix" else Fraction(3, 2)
-        return RidgeDeviation(kind, agent, positions, tuple(row), floor)
+        return RidgeDeviation(kind, agent, positions[agent], tuple(row), floor)
 
     firsts: dict[int, int] = {}
     for r in range(1, n + 1):
@@ -249,8 +249,8 @@ def nonridge_witness(order: PickingOrder, n: int) -> RidgeDeviation | None:
             return deviation("triple", who, [HALF] * m)
 
     for who, j in firsts.items():
-        second = next((r for r in range(n + 1, m + 1) if head[r - 1] == who), None)
-        if second is not None and second < 2 * n - j + 1:
+        rounds = positions[who]
+        if len(rounds) > 1 and rounds[1] < 2 * n - j + 1:
             row = [ONE] * j + [HALF] * (2 * (n - j)) + [ZERO] * (m - j - 2 * (n - j))
             return deviation("early-second", who, row)
     return None

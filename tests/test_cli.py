@@ -145,6 +145,32 @@ class TestBuildAndVerify:
         assert Fraction(doc["best_rho"]) <= Fraction(4, 3) + Fraction(1, 50)
 
 
+class TestErrorExits:
+    @pytest.mark.parametrize("doc", [{"cycle": [1, 2]}, [1, 2, 2, 1]],
+                             ids=["no-prefix", "list"])
+    def test_malformed_order_file(self, capsys, tmp_path, doc):
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", "--order", str(path), "--m", "4", "--n", "2")
+        assert code == EXIT_INVALID
+        assert out == "" and "order file" in err
+
+    def test_directory_input_is_a_file_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "shares", "--input", str(tmp_path))
+        assert code == EXIT_FILE
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--entitlements", "1/4,1/4,1/4,1/4", "--m", "0"),
+        ("ratio-test", "--n", "0", "--rho", "3/2"),
+        ("build", "--mode", "equal", "--n", "4", "--rho", "10/7", "--m", "20"),
+    ], ids=["verify-m0", "ratio-test-n0", "build-uncoverable"])
+    def test_invalid_sizes(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:")
+
+
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, capsys):
         args = ("verify", "--entitlements", "1/8,3/8,1/2", "--trials", "10",

@@ -9,7 +9,7 @@ from chorepick.fairness import (ef_ra_audit, envy_tension_example, label_guarant
                                 preliminary_stage, suffix_envy_condition,
                                 tension_instance)
 from chorepick.model import ChoreInstance, PickingSequence, to_sequence
-from chorepick.shares import aps_oracle
+from chorepick.shares import aps_oracle, proportional_share
 from chorepick.simulate import greedy_play, guaranteed_disvalue
 
 
@@ -134,7 +134,7 @@ class TestAudit:
                 played = greedy_play(PickingSequence(rounds), inst)
                 for agent in range(1, n + 1):
                     held = inst.bundle_cost(agent, played.bundle(agent))
-                    assert held < inst.proportional_share(agent)
+                    assert held < proportional_share(inst.row(agent), inst.entitlements[agent - 1])
 
     def test_prsd_no_upward_envy(self):
         rng = random.Random(2)
