@@ -75,6 +75,8 @@ def _allocation(inst: ChoreInstance, alloc) -> dict:
 
 def _cmd_gen(args) -> dict:
     if args.kind == "random":
+        if args.m < 0:
+            raise InstanceError(f"chore count must be nonnegative, got m = {args.m}")
         rng = random.Random(args.seed)
         rows = tuple(
             tuple(sorted((Fraction(rng.randint(0, args.max_cost)) for _ in range(args.m)),
@@ -139,7 +141,10 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_evaluate(args) -> dict:
     order = _parse_order(args.order)
-    n = args.n or max(order.prefix + order.cycle)
+    agents = order.prefix + order.cycle
+    if not args.n and not agents:
+        raise InstanceError(f"{args.order}: the order names no agent, so --n is needed")
+    n = args.n or max(agents)
     result = simulate.evaluate_order(order, n, args.m)
     return {
         "ratio": result.ratio,

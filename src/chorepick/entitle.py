@@ -365,6 +365,8 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
     """
     if m < 1:
         raise ValueError(f"need at least one chore, got m = {m}")
+    if trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got trials = {trials}")
     b = [Fraction(x) for x in entitlements]
     n = len(b)
     bound = 1 + Fraction(t) / 2

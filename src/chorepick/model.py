@@ -197,6 +197,8 @@ class PickingOrder:
         return bool(self.cycle)
 
     def expand(self, m: int) -> tuple[int, ...]:
+        if m < 0:
+            raise InstanceError(f"round count must be nonnegative, got m = {m}")
         if m <= len(self.prefix):
             return self.prefix[:m]
         if not self.cycle:

@@ -25,6 +25,14 @@ cap. Enumerating both families over all block boundaries therefore computes
 the LP optimum exactly; a search over candidate boundaries may skip any
 boundary where the objective provably cannot peak (the prefix count of J is
 unchanged and the free value only shrinks).
+
+`worst_case_bundle` scans only such candidates: every block boundary of
+both shapes is 0 or a position of J, so a call costs O(|J|^3) plus O(m) for
+the returned valuation, whatever the cap. With budget = P/Q each candidate
+value is a ratio of integers, so the scan compares integer cross products
+and builds Fractions only for the returned value and valuation. Candidates
+are visited in a fixed order and only a strictly larger value replaces the
+best, so the attaining valuation is the first maximiser in that order.
 """
 
 from __future__ import annotations
@@ -90,14 +98,7 @@ class WorstCase:
 
 
 def _build_valuation(m, a, b, d, mid, tail):
-    out = [ZERO] * m
-    for j in range(a):
-        out[j] = ONE
-    for j in range(a, b):
-        out[j] = mid
-    for j in range(b, d):
-        out[j] = tail
-    return tuple(out)
+    return (ONE,) * a + (mid,) * (b - a) + (tail,) * (d - b) + (ZERO,) * (m - d)
 
 
 def worst_case_bundle(positions: Iterable[int], m: int, cap: int,
@@ -106,61 +107,72 @@ def worst_case_bundle(positions: Iterable[int], m: int, cap: int,
     J = sorted(set(positions))
     if any(not 1 <= j <= m for j in J):
         raise ValueError(f"positions must lie in 1..{m}")
-    if not J or m == 0:
-        return WorstCase(ZERO, tuple([ZERO] * m))
     budget = Fraction(budget)
+    P, Q = budget.numerator, budget.denominator
     cap = min(cap, m)
 
-    count = [0] * (m + 1)  # count[d] = |J intersect [1..d]|
-    for j in J:
-        count[j] += 1
-    for d in range(1, m + 1):
-        count[d] += count[d - 1]
-
-    best = WorstCase(ZERO, tuple([ZERO] * m))
+    # Every block boundary t is 0 or a position of J, so the prefix count
+    # |J intersect [1..t]| is its rank c, and J[c:] lists the positions after
+    # it. a_cands[ca] is the boundary with prefix count ca.
     a_cands = [0] + [j for j in J if j <= cap]
-
-    def offer(value, a, b, d, mid, tail):
-        nonlocal best
-        if value > best.value:
-            best = WorstCase(value, _build_valuation(m, a, b, d, mid, tail))
+    # The best value so far is num/den and `win` holds its blocks as
+    # (a, b, d, mid, tail) with mid and tail as (numerator, denominator).
+    num, den, win = 0, 1, None
 
     # Shape 1^a (1/2)^(b-a) c^(d-b): candidate boundaries sit on positions of
     # J (elsewhere the objective cannot peak: the prefix count is flat and
-    # budget only erodes).
-    for a in a_cands:
-        if a > budget:
+    # budget only erodes). slack = 2Q(budget - (a+b)/2), c = slack/(2Q(d-b)).
+    for ca, a in enumerate(a_cands):
+        if a * Q > P:
             break
-        for b in [a] + [j for j in J if j > a]:
-            used = a + Fraction(b - a, 2)
-            if used > budget:
+        for cb, b in [(ca, a), *enumerate(J[ca:], ca + 1)]:
+            slack = 2 * P - (a + b) * Q
+            if slack < 0:
                 break
-            base = Fraction(count[a]) + Fraction(count[b] - count[a], 2)
-            offer(base, a, b, b, HALF, ZERO)
-            slack = budget - used
-            for d in (j for j in J if j > b):
-                c = slack / (d - b)
-                if c > HALF:
-                    c = HALF
-                if c == 0:
-                    break
-                offer(base + (count[d] - count[b]) * c, a, b, d, HALF, c)
+            if (ca + cb) * den > 2 * num:
+                num, den, win = ca + cb, 2, (a, b, b, (1, 2), (0, 1))
+            if slack == 0:
+                continue
+            for cd, d in enumerate(J[cb:], cb + 1):
+                width = Q * (d - b)
+                if slack > width:  # c clipped at 1/2
+                    if (ca + cd) * den > 2 * num:
+                        num, den, win = ca + cd, 2, (a, b, d, (1, 2), (1, 2))
+                else:
+                    value = (ca + cb) * width + (cd - cb) * slack
+                    if value * den > 2 * width * num:
+                        num, den, win = value, 2 * width, (a, b, d, (1, 2), (slack, 2 * width))
 
     # Shape 1^a x^(b-a) (1/2)^(d-b) with 1/2 <= x <= 1; the x block must stay
     # inside the cap. Smaller x than 1/2 is shape-1 territory and is skipped.
-    for a in a_cands:
-        for b in range(a + 1, cap + 1):
-            lead = Fraction(count[a])
-            for d in [b] + [j for j in J if j > b]:
-                x = (budget - a - Fraction(d - b, 2)) / (b - a)
-                if x > ONE:
-                    x = ONE
-                if x < HALF:
-                    continue
-                value = lead + (count[b] - count[a]) * x + Fraction(count[d] - count[b], 2)
-                offer(value, a, b, d, x, HALF)
+    # With x = xn/(2Q(b-a)) = 1/2 + (budget - (a+d)/2)/(b-a), x never grows
+    # with b, while the prefix count at b and J past b stay flat between
+    # positions of J. So a b off J never beats the start of its run: the
+    # last position of J before it, or a+1. And b = a+1 off J never beats
+    # shape 1, which has already offered its value: its x block holds no
+    # position of J, so it scores as 1^a alone or as 1^a (1/2)^(d-a).
+    for ca, a in enumerate(a_cands):
+        for cb, b in enumerate(J[ca:], ca + 1):
+            if b > cap:
+                break
+            width = 2 * Q * (b - a)
+            for cd, d in enumerate(J[cb - 1:], cb):  # d = b, then J past b
+                xn = 2 * (P - a * Q) - (d - b) * Q
+                if 2 * xn < width:  # x < 1/2, and x only falls as d grows
+                    break
+                if xn > width:  # x clipped at 1
+                    if (cb + cd) * den > 2 * num:
+                        num, den, win = cb + cd, 2, (a, b, d, (1, 1), (1, 2))
+                else:
+                    value = ca * width + (cb - ca) * xn + (cd - cb) * (width // 2)
+                    if value * den > width * num:
+                        num, den, win = value, width, (a, b, d, (xn, width), (1, 2))
 
-    return best
+    if win is None:
+        return WorstCase(ZERO, tuple([ZERO] * m))
+    a, b, d, mid, tail = win
+    return WorstCase(Fraction(num, den),
+                     _build_valuation(m, a, b, d, Fraction(*mid), Fraction(*tail)))
 
 
 def worst_case_ratio_cs(positions: Iterable[int], n: int, m: int) -> WorstCase:

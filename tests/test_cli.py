@@ -155,6 +155,13 @@ class TestErrorExits:
         assert code == EXIT_INVALID
         assert out == "" and "order file" in err
 
+    def test_empty_order_file_needs_n(self, capsys, tmp_path):
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps({"prefix": []}))
+        code, out, err = run(capsys, "evaluate", "--order", str(path), "--m", "4")
+        assert code == EXIT_INVALID
+        assert out == "" and str(path) in err and "--n" in err
+
     def test_directory_input_is_a_file_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "shares", "--input", str(tmp_path))
         assert code == EXIT_FILE
@@ -164,7 +171,12 @@ class TestErrorExits:
         ("verify", "--entitlements", "1/4,1/4,1/4,1/4", "--m", "0"),
         ("ratio-test", "--n", "0", "--rho", "3/2"),
         ("build", "--mode", "equal", "--n", "4", "--rho", "10/7", "--m", "20"),
-    ], ids=["verify-m0", "ratio-test-n0", "build-uncoverable"])
+        ("build", "--entitlements", "1/2,1/2", "--m", "-3"),
+        ("gen", "--kind", "random", "--n", "2", "--m", "-2"),
+        ("evaluate", "--order", "12", "--m", "-2"),
+        ("verify", "--entitlements", "1/2,1/2", "--trials", "-4", "--m", "10"),
+    ], ids=["verify-m0", "ratio-test-n0", "build-uncoverable", "build-negative-m",
+            "gen-negative-m", "evaluate-negative-m", "verify-negative-trials"])
     def test_invalid_sizes(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INVALID

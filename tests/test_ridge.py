@@ -126,6 +126,18 @@ class TestSynthesis:
         with pytest.raises(CoveringViolation, match="11"):
             synthesize_order(sched, 16)
 
+    @pytest.mark.parametrize("mode", ["agent", "super"])
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_synthesized_order_evaluates_within_rho(self, n, mode):
+        # A passing covering verdict promises an order with ratio <= rho; the
+        # order synthesized up to the conclusive horizon must deliver it.
+        rho = best_ratio_search(n, mode)
+        sched = ridge_periods(n, rho, mode)
+        verdict = covering_test(sched)
+        assert verdict.ok
+        order = synthesize_order(sched, verdict.horizon)
+        assert evaluate_order(order, n, verdict.horizon).ratio <= rho
+
 
 class TestFixedOrders:
     def test_prefixes_and_cycles(self):

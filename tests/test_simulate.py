@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from chorepick._simplex import maximize
 from chorepick.model import ChoreInstance, PickingOrder, PickingSequence, to_sequence
 from chorepick.shares import chore_share, mms_oracle
-from chorepick.simulate import (evaluate_order, greedy_play, guaranteed_disvalue,
-                                nonridge_witness, worst_case_bundle,
-                                worst_case_ratio_cs)
+from chorepick.simulate import (WorstCase, evaluate_order, greedy_play,
+                                guaranteed_disvalue, nonridge_witness,
+                                worst_case_bundle, worst_case_ratio_cs)
 
 
 def make(ents, costs):
@@ -78,6 +79,104 @@ def _lp_oracle(positions, m, cap, budget):
     return value
 
 
+ZERO, HALF, ONE = F(0), F(1, 2), F(1)
+
+
+def _reference_valuation(m, a, b, d, mid, tail):
+    out = [ZERO] * m
+    for j in range(a):
+        out[j] = ONE
+    for j in range(a, b):
+        out[j] = mid
+    for j in range(b, d):
+        out[j] = tail
+    return tuple(out)
+
+
+def _reference_worst_case(positions, m, cap, budget):
+    """Plain Fraction enumeration of both block shapes over every boundary,
+    keeping the first strictly better candidate in enumeration order."""
+    J = sorted(set(positions))
+    if any(not 1 <= j <= m for j in J):
+        raise ValueError(f"positions must lie in 1..{m}")
+    if not J or m == 0:
+        return WorstCase(ZERO, tuple([ZERO] * m))
+    budget = F(budget)
+    cap = min(cap, m)
+
+    count = [0] * (m + 1)  # count[d] = |J intersect [1..d]|
+    for j in J:
+        count[j] += 1
+    for d in range(1, m + 1):
+        count[d] += count[d - 1]
+
+    best = WorstCase(ZERO, tuple([ZERO] * m))
+    a_cands = [0] + [j for j in J if j <= cap]
+
+    def offer(value, a, b, d, mid, tail):
+        nonlocal best
+        if value > best.value:
+            best = WorstCase(value, _reference_valuation(m, a, b, d, mid, tail))
+
+    # Shape 1^a (1/2)^(b-a) c^(d-b).
+    for a in a_cands:
+        if a > budget:
+            break
+        for b in [a] + [j for j in J if j > a]:
+            used = a + F(b - a, 2)
+            if used > budget:
+                break
+            base = F(count[a]) + F(count[b] - count[a], 2)
+            offer(base, a, b, b, HALF, ZERO)
+            slack = budget - used
+            for d in (j for j in J if j > b):
+                c = slack / (d - b)
+                if c > HALF:
+                    c = HALF
+                if c == 0:
+                    break
+                offer(base + (count[d] - count[b]) * c, a, b, d, HALF, c)
+
+    # Shape 1^a x^(b-a) (1/2)^(d-b) with 1/2 <= x <= 1, every b up to the cap.
+    for a in a_cands:
+        for b in range(a + 1, cap + 1):
+            lead = F(count[a])
+            for d in [b] + [j for j in J if j > b]:
+                x = (budget - a - F(d - b, 2)) / (b - a)
+                if x > ONE:
+                    x = ONE
+                if x < HALF:
+                    continue
+                value = lead + (count[b] - count[a]) * x + F(count[d] - count[b], 2)
+                offer(value, a, b, d, x, HALF)
+
+    return best
+
+
+@st.composite
+def _bundle_cases(draw):
+    """(positions, m, cap, budget) with empty, sparse and dense position sets
+    and integer, p/q and 1/b (entitlement b < 1, cap floor(1/b)) budgets."""
+    m = draw(st.integers(1, 40))
+    density = draw(st.sampled_from(["empty", "sparse", "dense"]))
+    if density == "empty":
+        positions = []
+    elif density == "sparse":
+        positions = draw(st.lists(st.integers(1, m), unique=True, min_size=1, max_size=6))
+    else:
+        gaps = set(draw(st.lists(st.integers(1, m), max_size=3)))
+        positions = [j for j in range(1, m + 1) if j not in gaps]
+    kind = draw(st.sampled_from(["integer", "ratio", "entitlement"]))
+    if kind == "entitlement":
+        b = draw(st.fractions(F(1, 12), F(1), max_denominator=30).filter(lambda b: b < 1))
+        return positions, m, math.floor(1 / b), 1 / b
+    cap = draw(st.integers(1, 12))
+    if kind == "integer":
+        return positions, m, cap, F(draw(st.integers(0, 14)))
+    top = draw(st.sampled_from([2, 14]))  # budgets below 1 give x blocks at a = 0
+    return positions, m, cap, draw(st.fractions(0, top, max_denominator=9))
+
+
 class TestWorstCase:
     def test_single_top_position(self):
         assert worst_case_ratio_cs([1], 2, 4).value == 1
@@ -126,6 +225,15 @@ class TestWorstCase:
         positions = data.draw(st.lists(st.integers(1, m), unique=True, min_size=1))
         mine = worst_case_bundle(positions, m, cap, budget).value
         assert mine == _lp_oracle(positions, m, min(cap, m), budget)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bundle_cases())
+    def test_matches_reference_enumerator(self, case):
+        mine = worst_case_bundle(*case)
+        ref = _reference_worst_case(*case)
+        assert (mine.value, mine.valuation) == (ref.value, ref.valuation)
+        assert type(mine.value) is F
+        assert all(type(v) is F for v in mine.valuation)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
