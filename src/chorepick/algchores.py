@@ -52,26 +52,17 @@ class AlgChoresResult:
         return sum(len(r.rotations) for r in self.trace)
 
 
-def _envies(costs, bundles, i: int, j: int) -> bool:
-    row = costs[i]
-    mine = sum((row[c - 1] for c in bundles[i]), ZERO)
-    theirs = sum((row[c - 1] for c in bundles[j]), ZERO)
-    return theirs < mine
+# held[i][j] is agent i's disvalue for the bundle agent j holds; agent i
+# envies j exactly when held[i][j] < held[i][i].
+
+def _envy_free_agent(held) -> int | None:
+    return next((i for i, row in enumerate(held) if min(row) == row[i]), None)
 
 
-def _envy_free_agent(costs, bundles, n: int) -> int | None:
-    for i in range(n):
-        if not any(_envies(costs, bundles, i, j) for j in range(n) if j != i):
-            return i
-    return None
-
-
-def _find_cycle(costs, bundles, n: int) -> list[int]:
-    """Walk lowest-index envy edges from the lowest-index envious agent until
-    a node repeats; every agent envies someone here, so a cycle must close."""
-    succ = {}
-    for i in range(n):
-        succ[i] = next(j for j in range(n) if j != i and _envies(costs, bundles, i, j))
+def _find_cycle(held) -> list[int]:
+    """Walk lowest-index envy edges from agent 0 until a node repeats; every
+    agent envies someone here, so a cycle must close."""
+    succ = [next(j for j, v in enumerate(row) if v < row[i]) for i, row in enumerate(held)]
     path = [0]
     seen = {0: 0}
     while True:
@@ -87,25 +78,30 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
     n = len(costs)
     bundles: list[set[int]] = [set() for _ in range(n)]
     trace: list[RoundTrace] = []
-    totals = [ZERO] * n
+    held = [[ZERO] * n for _ in range(n)]
     grand = [sum(row, ZERO) for row in costs]
     for r in range(1, m + 1):
-        recipient = _envy_free_agent(costs, bundles, n)
+        recipient = _envy_free_agent(held)
         assert recipient is not None, "round must start with an envy-free agent"
         # An envy-free agent holds at most the average bundle, hence at most
         # her proportional share.
-        assert totals[recipient] * n <= grand[recipient]
+        assert held[recipient][recipient] * n <= grand[recipient]
         bundles[recipient].add(r)
-        totals[recipient] += costs[recipient][r - 1]
+        for i in range(n):
+            held[i][recipient] += costs[i][r - 1]
         rotations: list[tuple[int, ...]] = []
-        while _envy_free_agent(costs, bundles, n) is None:
-            cycle = _find_cycle(costs, bundles, n)
-            before = sum(totals, ZERO)
-            moved = [bundles[cycle[(k + 1) % len(cycle)]] for k in range(len(cycle))]
-            for k, agent in enumerate(cycle):
-                bundles[agent] = moved[k]
-                totals[agent] = sum((costs[agent][c - 1] for c in moved[k]), ZERO)
-            assert sum(totals, ZERO) < before, "rotation must strictly improve"
+        while _envy_free_agent(held) is None:
+            cycle = _find_cycle(held)
+            before = sum((held[i][i] for i in range(n)), ZERO)
+            # Agent cycle[k] takes the bundle of cycle[k+1]: the bundles and
+            # the columns of held move together.
+            source = cycle[1:] + cycle[:1]
+            for row in (bundles, *held):
+                moved = [row[j] for j in source]
+                for agent, item in zip(cycle, moved):
+                    row[agent] = item
+            assert sum((held[i][i] for i in range(n)), ZERO) < before, \
+                "rotation must strictly improve"
             rotations.append(tuple(a + 1 for a in cycle))
         assert len(set().union(*bundles)) == r, "bundles must partition the chores"
         if want_trace:
@@ -114,12 +110,10 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
 
 
 def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
-    """Run the round-based allocation; non-common-order inputs are reduced
-    and the result mapped back to the real chores."""
-    if inst.is_ido:
-        surrogate, perms = inst, tuple(tuple(range(1, inst.m + 1)) for _ in range(inst.n))
-    else:
-        surrogate, perms = to_ido(inst)
+    """Run the round-based allocation on the common-order reduction (which
+    maps a common-order instance to itself) and map the result back to the
+    real chores."""
+    surrogate, perms = to_ido(inst)
     bundles, rounds = _core(surrogate.costs, surrogate.m, trace)
     surrogate_alloc = Allocation.from_lists(bundles)
 

@@ -142,9 +142,13 @@ def _cmd_simulate(args) -> dict:
 def _cmd_evaluate(args) -> dict:
     order = _parse_order(args.order)
     agents = order.prefix + order.cycle
-    if not args.n and not agents:
-        raise InstanceError(f"{args.order}: the order names no agent, so --n is needed")
-    n = args.n or max(agents)
+    n = args.n
+    if n is None:
+        if not agents:
+            raise InstanceError(f"{args.order}: the order names no agent, so --n is needed")
+        n = max(agents)
+    elif n < 1:
+        raise InstanceError(f"agent count must be positive, got n = {n}")
     result = simulate.evaluate_order(order, n, args.m)
     return {
         "ratio": result.ratio,

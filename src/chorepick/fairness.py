@@ -77,13 +77,14 @@ def label_guarantees(seq: PickingSequence, costs: Sequence[Fraction],
             for label in range(1, n + 1)}
 
 
-def _greedy_label_order(seq, cost_rows, agent_order):
-    n = len(cost_rows)
-    available = set(range(1, n + 1))
+def _greedy_label_order(guarantees, agent_order):
+    """Each agent in turn takes the remaining label with the smallest
+    guarantees[agent][label] (ties: lower label)."""
+    available = set(range(1, len(guarantees) + 1))
     assignment = {}
     for agent in agent_order:
-        guarantees = label_guarantees(seq, cost_rows[agent - 1], n)
-        label = min(available, key=lambda lab: (guarantees[lab], lab))
+        row = guarantees[agent]
+        label = min(available, key=lambda lab: (row[lab], lab))
         assignment[agent] = label
         available.remove(label)
     return assignment
@@ -108,13 +109,14 @@ def preliminary_stage(mode: str, seq: PickingSequence,
         labels = list(range(1, n + 1))
         rng.shuffle(labels)
         return {agent: labels[agent - 1] for agent in range(1, n + 1)}
+    guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
     if mode == "label_pick":
         agents = list(range(1, n + 1))
         rng.shuffle(agents)
-        return _greedy_label_order(seq, cost_rows, agents)
+        return _greedy_label_order(guarantees, agents)
     order = sorted(range(1, n + 1),
                    key=lambda a: (Fraction(entitlements[a - 1]), rng.random()))
-    return _greedy_label_order(seq, cost_rows, order)
+    return _greedy_label_order(guarantees, order)
 
 
 @dataclass(frozen=True)
@@ -165,12 +167,13 @@ def ef_ra_audit(seq: PickingSequence, mode: str,
     dominates = None
     if mode == "label_pick":
         hits = {a: [0] * n for a in range(1, n + 1)}  # hits[a][k]: top-(k+1) count
+        ranked = {a: sorted(row, key=lambda lab: (row[lab], lab))
+                  for a, row in guarantees.items()}
         orders = list(itertools.permutations(range(1, n + 1)))
         for order in orders:
-            got = _greedy_label_order(seq, cost_rows, order)
+            got = _greedy_label_order(guarantees, order)
             for a in range(1, n + 1):
-                ranked = sorted(range(1, n + 1), key=lambda lab: (guarantees[a][lab], lab))
-                rank = ranked.index(got[a])
+                rank = ranked[a].index(got[a])
                 for k in range(rank, n):
                     hits[a][k] += 1
         total = len(orders)
@@ -190,7 +193,7 @@ def ef_ra_audit(seq: PickingSequence, mode: str,
         outcomes = 0
         for shuffles in itertools.product(*[itertools.permutations(t) for t in tiers]):
             order = [a for tier in shuffles for a in tier]
-            got = _greedy_label_order(seq, cost_rows, order)
+            got = _greedy_label_order(guarantees, order)
             outcomes += 1
             for p in range(1, n + 1):
                 own[p] += guarantees[p][got[p]]

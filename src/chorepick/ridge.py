@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 from .model import InstanceError, PickingOrder
 
 EXACT_RATIO_LIMIT = 128
+SEARCH_LO, SEARCH_HI = Fraction(101, 100), Fraction(2)  # best_ratio_search bracket
 
 
 class CoveringViolation(RuntimeError):
@@ -423,14 +424,13 @@ def solve_rho_star(tol: float = 1e-6) -> float:
 
 
 def best_ratio_search(n: int, mode: str = "agent",
-                      tol: Fraction = Fraction(1, 1000),
-                      lo: Fraction = Fraction(101, 100),
-                      hi: Fraction = Fraction(2)) -> Fraction:
-    """Smallest rho (within tol) whose covering test passes outright."""
+                      tol: Fraction = Fraction(1, 1000)) -> Fraction:
+    """Smallest rho (within tol) in [SEARCH_LO, SEARCH_HI] whose covering
+    test passes outright."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = SEARCH_LO, SEARCH_HI
 
     def passes(rho: Fraction) -> bool:
         return covering_test(ridge_periods(n, rho, mode)).ok

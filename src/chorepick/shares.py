@@ -67,10 +67,7 @@ def chore_share(costs: Sequence[Fraction], b: Fraction) -> Fraction:
     return max(b * sum(row, ZERO), at(1), at(k) + at(k + 1))
 
 
-def mms_oracle(costs: Sequence[Fraction], n: int, *,
-               item_limit: int = MMS_ITEM_LIMIT,
-               agent_limit: int = MMS_AGENT_LIMIT,
-               force: bool = False) -> Fraction:
+def mms_oracle(costs: Sequence[Fraction], n: int, *, force: bool = False) -> Fraction:
     """Exact maximin share for chores: min over n-partitions of the max bundle.
 
     Depth-first search over partitions, pruned by bundle symmetry (never
@@ -81,9 +78,9 @@ def mms_oracle(costs: Sequence[Fraction], n: int, *,
         raise ValueError("need at least one bundle")
     items = sorted((Fraction(c) for c in costs), reverse=True)
     m = len(items)
-    if not force and (m > item_limit or n > agent_limit):
-        raise SizeGuardError(
-            f"mms_oracle guard: {m} items / {n} bundles exceeds {item_limit}/{agent_limit} (use force=True)")
+    if not force and (m > MMS_ITEM_LIMIT or n > MMS_AGENT_LIMIT):
+        raise SizeGuardError(f"mms_oracle guard: {m} items / {n} bundles exceeds "
+                             f"{MMS_ITEM_LIMIT}/{MMS_AGENT_LIMIT} (use force=True)")
     if m == 0:
         return ZERO
     if n == 1:
@@ -122,9 +119,7 @@ def _patterns(group_sizes: Sequence[int]):
     return itertools.product(*(range(k + 1) for k in group_sizes))
 
 
-def aps_oracle(costs: Sequence[Fraction], b: Fraction, *,
-               item_limit: int = APS_ITEM_LIMIT,
-               force: bool = False) -> Fraction:
+def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -> Fraction:
     """Exact anyprice share for chores.
 
     APS >= z holds iff some price vector (nonnegative, summing to 1) gives
@@ -145,9 +140,9 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *,
     b = _check_entitlement(b)
     row = [Fraction(c) for c in costs]
     m = len(row)
-    if not force and m > item_limit:
+    if not force and m > APS_ITEM_LIMIT:
         raise SizeGuardError(
-            f"aps_oracle guard: {m} items exceeds {item_limit} (use force=True)")
+            f"aps_oracle guard: {m} items exceeds {APS_ITEM_LIMIT} (use force=True)")
     if m == 0:
         return ZERO
 
@@ -158,20 +153,15 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *,
     sizes = [classes[v] for v in values]
     ngroups = len(values)
 
-    candidates = sorted({
-        sum((values[g] * t[g] for g in range(ngroups)), ZERO)
-        for t in _patterns(sizes)
-    })
+    patterns = [(t, sum((values[g] * t[g] for g in range(ngroups)), ZERO))
+                for t in _patterns(sizes)]
+    candidates = sorted({cost for _, cost in patterns})
 
     def feasible(z: Fraction) -> bool:
-        rows = []
-        for t in _patterns(sizes):
-            cost = sum((values[g] * t[g] for g in range(ngroups)), ZERO)
-            if cost >= z:
-                continue
-            if any(t[g] < sizes[g] and cost + values[g] < z for g in range(ngroups)):
-                continue  # not inclusion-maximal below z
-            rows.append(t)
+        # Inclusion-maximal patterns below z: adding any one more item reaches z.
+        rows = [t for t, cost in patterns
+                if cost < z and not any(t[g] < sizes[g] and cost + values[g] < z
+                                        for g in range(ngroups))]
         if not rows:
             return True
         # Dual of max{d : t.p + d <= b for all rows, sizes.p = 1, p >= 0}:

@@ -48,13 +48,13 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
-def greedy_play(seq: PickingSequence | Sequence[int], inst: ChoreInstance) -> Allocation:
+def greedy_play(seq: PickingSequence, inst: ChoreInstance) -> Allocation:
     """Play a picking sequence with every agent greedy.
 
     In her round a picker removes her minimum-disvalue remaining chore,
     breaking ties toward the lowest chore index.
     """
-    rounds = seq.rounds if isinstance(seq, PickingSequence) else tuple(seq)
+    rounds = seq.rounds
     if len(rounds) != inst.m:
         raise ValueError(f"sequence covers {len(rounds)} rounds, instance has {inst.m} chores")
     remaining = list(range(1, inst.m + 1))

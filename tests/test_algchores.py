@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chorepick.algchores import alg_chores, tight_example
-from chorepick.model import ChoreInstance, equal_entitlements
+from chorepick.algchores import AlgChoresResult, RoundTrace, alg_chores, tight_example
+from chorepick.model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements,
+                             to_ido, to_sequence)
 from chorepick.shares import aps_oracle, mms_oracle
+from chorepick.simulate import greedy_play
 
 
 def make(n, rows):
@@ -96,3 +99,91 @@ class TestAlgorithm:
                     assert worst == 0
                 else:
                     assert worst <= bound * aps, (row, worst, aps)
+
+
+# Reference implementation: the allocation loop that re-sums both bundles on
+# every envy test, with the identity shortcut for common-order instances.
+
+def _reference_envies(costs, bundles, i, j):
+    row = costs[i]
+    return sum((row[c - 1] for c in bundles[j]), F(0)) < sum((row[c - 1] for c in bundles[i]), F(0))
+
+
+def _reference_envy_free_agent(costs, bundles, n):
+    for i in range(n):
+        if not any(_reference_envies(costs, bundles, i, j) for j in range(n) if j != i):
+            return i
+    return None
+
+
+def _reference_find_cycle(costs, bundles, n):
+    succ = {i: next(j for j in range(n) if j != i and _reference_envies(costs, bundles, i, j))
+            for i in range(n)}
+    path, seen = [0], {0: 0}
+    while succ[path[-1]] not in seen:
+        seen[succ[path[-1]]] = len(path)
+        path.append(succ[path[-1]])
+    return path[seen[succ[path[-1]]]:]
+
+
+def _reference_alg_chores(inst):
+    if inst.is_ido:
+        surrogate, perms = inst, tuple(tuple(range(1, inst.m + 1)) for _ in range(inst.n))
+    else:
+        surrogate, perms = to_ido(inst)
+    costs, n = surrogate.costs, inst.n
+    bundles = [set() for _ in range(n)]
+    trace = []
+    for r in range(1, inst.m + 1):
+        recipient = _reference_envy_free_agent(costs, bundles, n)
+        bundles[recipient].add(r)
+        rotations = []
+        while _reference_envy_free_agent(costs, bundles, n) is None:
+            cycle = _reference_find_cycle(costs, bundles, n)
+            moved = [bundles[cycle[(k + 1) % len(cycle)]] for k in range(len(cycle))]
+            for k, agent in enumerate(cycle):
+                bundles[agent] = moved[k]
+            rotations.append(tuple(a + 1 for a in cycle))
+        trace.append(RoundTrace(r, recipient + 1, tuple(rotations)))
+    owners = [0] * inst.m
+    for i, bundle in enumerate(bundles, start=1):
+        for r in bundle:
+            owners[r - 1] = i
+    real = greedy_play(to_sequence(PickingOrder(tuple(owners))), inst)
+    return AlgChoresResult(real, Allocation.from_lists(bundles), perms, tuple(trace))
+
+
+@st.composite
+def _instances(draw):
+    """Small instances with few distinct costs, so that ties and rotations
+    occur; some rows are sorted worst-first, and some instances are in
+    common order throughout."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(0, 14))
+    k = draw(st.sampled_from([1, 2, 3, 9]))
+    common = draw(st.booleans())
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(st.integers(0, k), min_size=m, max_size=m))
+        if common or draw(st.booleans()):
+            row.sort(reverse=True)
+        rows.append(row)
+    return make(n, rows)
+
+
+class TestReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_instances())
+    def test_matches_resumming_reference(self, inst):
+        assert alg_chores(inst, trace=True) == _reference_alg_chores(inst)
+
+    def test_reference_sees_rotations(self):
+        rng = random.Random(0)
+        rotations = 0
+        for _ in range(200):
+            n, m = rng.randint(2, 6), rng.randint(0, 14)
+            inst = make(n, [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
+            expected = _reference_alg_chores(inst)
+            assert alg_chores(inst, trace=True) == expected
+            rotations += expected.rotations
+        assert rotations > 0

@@ -175,8 +175,9 @@ class TestErrorExits:
         ("gen", "--kind", "random", "--n", "2", "--m", "-2"),
         ("evaluate", "--order", "12", "--m", "-2"),
         ("verify", "--entitlements", "1/2,1/2", "--trials", "-4", "--m", "10"),
+        ("evaluate", "--order", "n2", "--m", "4", "--n", "0"),
     ], ids=["verify-m0", "ratio-test-n0", "build-uncoverable", "build-negative-m",
-            "gen-negative-m", "evaluate-negative-m", "verify-negative-trials"])
+            "gen-negative-m", "evaluate-negative-m", "verify-negative-trials", "evaluate-n0"])
     def test_invalid_sizes(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INVALID

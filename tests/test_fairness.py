@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chorepick.entitle import round_to_order
 from chorepick.fairness import (ef_ra_audit, envy_tension_example, label_guarantees,
@@ -52,6 +53,39 @@ class TestSuffixCondition:
                         assert suffix_envy_condition(seq, i, j).holds == (not envy_exists)
 
 
+def _reference_stage(mode, seq, rows, entitlements, seed):
+    """Greedy label pick that rebuilds an agent's label guarantees at each turn."""
+    n = len(rows)
+    rng = random.Random(seed)
+    if mode == "label_pick":
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+    else:
+        order = sorted(range(1, n + 1), key=lambda a: (F(entitlements[a - 1]), rng.random()))
+    available = set(range(1, n + 1))
+    assignment = {}
+    for agent in order:
+        guarantees = label_guarantees(seq, rows[agent - 1], n)
+        label = min(available, key=lambda lab: (guarantees[lab], lab))
+        assignment[agent] = label
+        available.remove(label)
+    return assignment
+
+
+@st.composite
+def _stage_cases(draw):
+    """(seq, rows, entitlements, seed) with few distinct costs and
+    entitlements, so that guarantee and responsibility ties occur."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 10))
+    k = draw(st.sampled_from([1, 3, 9]))
+    rows = tuple(tuple(F(c) for c in draw(st.lists(st.integers(0, k), min_size=m, max_size=m)))
+                 for _ in range(n))
+    seq = PickingSequence(tuple(draw(st.lists(st.integers(1, n), min_size=m, max_size=m))))
+    ents = [draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2)])) for _ in range(n)]
+    return seq, rows, ents, draw(st.integers(0, 10 ** 6))
+
+
 class TestPreliminaryStage:
     ROWS = ((F(6), F(4), F(4)), (F(6), F(2), F(2)))
     SEQ = PickingSequence((1, 1, 2))
@@ -92,6 +126,13 @@ class TestPreliminaryStage:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             preliminary_stage("nope", self.SEQ, self.ROWS, [F(1, 2), F(1, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stage_cases(), st.sampled_from(["label_pick", "prsd"]))
+    def test_matches_per_turn_reference(self, case, mode):
+        seq, rows, ents, seed = case
+        assert (preliminary_stage(mode, seq, rows, ents, seed)
+                == _reference_stage(mode, seq, rows, ents, seed))
 
 
 class TestAudit:

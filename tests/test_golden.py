@@ -36,6 +36,8 @@ CASES = {
     "envy-suffix-holds": "envy --seq 1,2,3,3,2,1,2 --check-suffix 1 2",
     "envy-tension": "envy --tension-example 4",
     "envy-tension-seq": "envy --tension-example 4 --seq 1,2,3,4,4,3,2,1,1",
+    "envy-audit-label-pick": "envy --seq 1,2,3,3,2,1 --audit label_pick --input @general.json",
+    "envy-audit-prsd": "envy --seq 3,4,4,3,4,4,4,4,4,3,2,1 --audit prsd --input @audit4.json",
     "algchores-trace-aps": "algchores --input @tight3.json --trace --with-aps",
     "algchores-untraced": "algchores --input @general.json",
     "algchores-general-trace": "algchores --input @general.json --trace",
