@@ -62,7 +62,11 @@ def _parse_order(text: str) -> PickingOrder:
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"{text}: an order file is a JSON object with a 'prefix' "
                                 f"list (and an optional 'cycle') or an 'assignment' list") from exc
+    # One agent per digit ("123:321"), or comma-separated labels once the
+    # text has a comma ("1,2,10:10,2").
     prefix, _, cycle = text.partition(":")
+    if "," in text:
+        prefix, cycle = (part.split(",") if part else () for part in (prefix, cycle))
     return PickingOrder(prefix=tuple(int(c) for c in prefix),
                         cycle=tuple(int(c) for c in cycle))
 
@@ -252,7 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_build)
 
     p = sub.add_parser("simulate", help="greedy play-out of an order on an instance")
-    p.add_argument("--order", required=True, help="n2|n3|n4|super8, digits[:cycle], or file.json")
+    p.add_argument("--order", required=True,
+                   help="n2|n3|n4|super8, digits[:cycle], labels[:labels] "
+                        "(comma-separated), or file.json")
     p.add_argument("--input", required=True)
     p.set_defaults(run=_cmd_simulate)
 

@@ -23,15 +23,23 @@ r = sum 1/p(i) exceeds 1: every round past 2n + n/(r-1) is then covered
 automatically, so only a finite scan is needed. At r <= 1 a clean scan is
 reported as inconclusive.
 
-Everything round-valued is exact: periods are Fractions and thresholds
-integer ceilings of k*p. The covering ratio itself is summed exactly for
-small n and in floating point for large n (the exact value has an
-astronomically long denominator there), which only ever affects the
-reported ratio and the scan horizon, never a threshold.
+Schedules and thresholds are integer-exact. With rho = a/c, every class is
+decided by an integer cross-multiplication, every period is built once as a
+Fraction of two integers, and the t-th step of a period num/den lands on
+base + ceil(t*num/den), computed by integer division. The covering scan
+stops at a certified round K* (see ``certified_cutoff``), from integer
+bounds on r and on the agents' head offsets scaled by 2^64: no round past
+K* can fail, so the verdict, horizon and failing round are those of a scan
+to the horizon. The covering ratio itself is summed exactly for small n and
+in floating point for large n (the exact value has an astronomically long
+denominator there). That float still picks between pass and inconclusive
+and sets the reported horizon; it never affects a threshold or the rounds
+a scan must visit.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +48,7 @@ from typing import Iterable, Sequence
 from .model import InstanceError, PickingOrder
 
 EXACT_RATIO_LIMIT = 128
+RATE_SCALE = 1 << 64   # fixed-point scale of the certified covering bounds
 SEARCH_LO, SEARCH_HI = Fraction(101, 100), Fraction(2)  # best_ratio_search bracket
 
 
@@ -89,23 +98,22 @@ class ThresholdSchedule:
     def thresholds_upto(self, agent: int, horizon: int) -> list[int]:
         """All thresholds of an agent with value <= horizon, in order."""
         head = self._head(agent)
-        if head and head[-1] > horizon:
-            return [t for t in head if t <= horizon]
-        out = list(head)
         base = head[-1] if head else 0
+        if base > horizon:
+            return [t for t in head if t <= horizon]
         p = self.periods[agent - 1]
         num, den = p.numerator, p.denominator
-        k = 1
-        while True:
-            t = base + (-((-k * num) // den))
-            if t > horizon:
-                return out
-            out.append(t)
-            k += 1
+        # Step k lands on base + ceil(k*num/den), which is <= horizon iff
+        # k*num <= (horizon - base)*den.
+        return [*head, *[base - (-x // den)
+                         for x in range(num, (horizon - base) * den + 1, num)]]
 
 
 def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedule:
     """Classes and periods for n agents at target ratio rho.
+
+    With rho = a/c every class test is an integer cross-multiplication and
+    every period is one Fraction(num, den) of integers.
 
     >>> from fractions import Fraction as F
     >>> ridge_periods(4, F(10, 7)).periods
@@ -118,46 +126,49 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
         raise ValueError(f"target ratio must exceed 1, got {rho}")
     if mode not in ("agent", "super"):
         raise ValueError(f"mode must be 'agent' or 'super', got {mode!r}")
-    early_cut = Fraction(n) / rho          # class 1 below it
-    late_cut = 2 * n + 1 - 2 * Fraction(n) / rho  # class 2 above it (agent mode)
+    a, c = rho.numerator, rho.denominator
+    gap = a - c                      # rho - 1 = gap/c
+    nc = n * c                       # i < n/rho  iff  i*a < nc
+    mid = Fraction(nc, a)            # the class-0 period n/rho, shared
+    # A class-0 agent's first two thresholds ceil(n/rho) and ceil(2n/rho)
+    # must not pass its ridge rounds i and 2n-i+1.
+    mid_first, mid_second = -(-nc // a), -(-2 * nc // a)
+    agent_late = (2 * n + 1) * a - 2 * nc   # class 2 beyond it (agent mode)
+    super_late = 2 * n * gap                # class 2 beyond it (super mode)
     classes: list[int] = []
     periods: list[Fraction] = []
+    violations: list[int] = []
     for i in range(1, n + 1):
+        ia = i * a
         if mode == "agent":
-            if i < early_cut:
-                cls, p = 1, Fraction(n - i) / (rho - 1)
-            elif i <= late_cut:
-                cls, p = 0, Fraction(n) / rho
+            if ia < nc:
+                cls, num, den = 1, (n - i) * c, gap
+            elif ia <= agent_late:
+                cls = 0
             else:
-                cls, p = 2, Fraction(i - 1) / (2 * (rho - 1))
+                cls, num, den = 2, (i - 1) * c, 2 * gap
         else:
             # Block accounting: a block is early if its first member is,
             # late if its last member is; periods take the block's slowest
             # member in the limit of large blocks.
-            if i > 2 * n - 2 * Fraction(n) / rho:
-                cls, p = 2, Fraction(i) / (2 * (rho - 1))
-            elif i - 1 < early_cut:
-                cls, p = 1, Fraction(n - i + 1) / (rho - 1)
+            if ia > super_late:
+                cls, num, den = 2, i * c, 2 * gap
+            elif ia - a < nc:
+                cls, num, den = 1, (n - i + 1) * c, gap
             else:
-                cls, p = 0, Fraction(n) / rho
+                cls = 0
         classes.append(cls)
-        periods.append(p)
-
-    sched = ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods), ())
-    violations = []
-    for i in range(1, n + 1):
-        cls = classes[i - 1]
-        ok = True
         if cls == 0:
-            ok = sched.threshold(i, 1) <= i and sched.threshold(i, 2) <= 2 * n - i + 1
-        elif cls == 1:
-            ok = sched.threshold(i, 2) <= 2 * n - i + 1
-        if not ok:
-            violations.append(i)
-    if violations:
-        sched = ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods),
-                                  tuple(violations))
-    return sched
+            periods.append(mid)
+            if mid_first > i or mid_second > 2 * n - i + 1:
+                violations.append(i)
+        else:
+            periods.append(Fraction(num, den))
+            # A class-1 agent's second threshold i + ceil(p) must not pass
+            # its second ridge round 2n-i+1.
+            if cls == 1 and i - (-num // den) > 2 * n - i + 1:
+                violations.append(i)
+    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods), tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -190,6 +201,32 @@ def covering_ratio(sched: ThresholdSchedule) -> tuple[float, Fraction | None]:
     return math.fsum(p.denominator / p.numerator for p in sched.periods), None
 
 
+def certified_cutoff(sched: ThresholdSchedule) -> tuple[int, int | None]:
+    """Integer bounds on the covering ratio and on the last round that can fail.
+
+    Returns (R, K*). R <= RATE_SCALE * r is a certified lower bound on the
+    covering ratio r = sum 1/p(i). From round 2n on every agent has passed
+    its head (c_i entries ending at base_i), so it holds more than
+    c_i - 1 + (k - base_i)/p_i thresholds <= k, and all agents together more
+    than r*k - B with B = sum(1 - c_i + base_i/p_i). That integer count
+    reaches k once r*k - B >= k - 1, so every round
+    k >= K* = max(2n, (B-1)/(r-1)) is covered. K* is computed from R and an
+    upper bound on RATE_SCALE * (B-1), and is None when R <= RATE_SCALE,
+    where no such round need exist.
+    """
+    rate_low, slack_high = 0, -RATE_SCALE
+    for agent, p in enumerate(sched.periods, start=1):
+        head = sched._head(agent)
+        q, rem = divmod(RATE_SCALE * p.denominator, p.numerator)
+        rate_low += q
+        slack_high += RATE_SCALE * (1 - len(head))
+        if head:
+            slack_high += head[-1] * (q + (rem > 0))
+    if rate_low <= RATE_SCALE:
+        return rate_low, None
+    return rate_low, max(2 * sched.n, -(-slack_high // (rate_low - RATE_SCALE)))
+
+
 def covering_test(sched: ThresholdSchedule,
                   fallback_horizon: int | None = None) -> CoveringVerdict:
     """Check that at least k thresholds are <= k for every k up to the horizon.
@@ -198,7 +235,9 @@ def covering_test(sched: ThresholdSchedule,
     clean scan proves an order with ratio <= rho exists. With r <= 1 no finite
     horizon is conclusive, so a clean scan up to the caller-supplied fallback
     (default max(4n, 64)) returns "inconclusive". A violated round is
-    definitive either way and the smallest one is reported.
+    definitive either way and the smallest one is reported. The scan itself
+    stops at the certified cut-off K* when that comes first, since no later
+    round can fail.
     """
     n = sched.n
     r_float, r_exact = covering_ratio(sched)
@@ -213,8 +252,10 @@ def covering_test(sched: ThresholdSchedule,
         clean = "inconclusive"
     horizon = max(horizon, 2 * n)
 
+    cutoff = certified_cutoff(sched)[1]
+    scan = horizon if cutoff is None else min(horizon, cutoff)
     failing = covering_of_lists(
-        (sched.thresholds_upto(agent, horizon) for agent in range(1, n + 1)), horizon)
+        (sched.thresholds_upto(agent, scan) for agent in range(1, n + 1)), scan)
     status = "fail" if failing is not None else clean
     return CoveringVerdict(status, failing, r_float, r_exact, horizon)
 
@@ -226,36 +267,40 @@ def synthesize_order(sched: ThresholdSchedule, m: int) -> PickingOrder:
     holding an unconsumed threshold already released, preferring the agent
     with the largest backlog of released thresholds, then the lowest index.
     A stuck round means the covering constraint fails there.
+
+    Thresholds are released from per-round buckets, and the preferred agent
+    is the top of a heap of (-backlog, agent) entries; an entry whose backlog
+    is no longer the agent's current one is stale and dropped when it
+    surfaces. A call costs O((m + T) log(m + T)) for T thresholds <= m.
     """
     n = sched.n
     if m > 2 * n and not sched.ridge_ok:
         raise CoveringViolation(
             f"ridge constraints violated for agents {sched.ridge_violations}")
-    lists = [sched.thresholds_upto(i, m) for i in range(1, n + 1)]
-    released = [0] * n   # thresholds with value <= current round
-    consumed = [0] * n
-    pointer = [0] * n
+    releases: list[list[int]] = [[] for _ in range(m + 1)]
+    for i in range(1, n + 1):
+        for t in sched.thresholds_upto(i, m):
+            releases[t].append(i)
+    backlog = [0] * (n + 1)   # released minus consumed thresholds, by agent
+    heap: list[tuple[int, int]] = []
     assignment: list[int] = []
     for k in range(1, m + 1):
-        for i in range(n):
-            lst = lists[i]
-            while pointer[i] < len(lst) and lst[pointer[i]] <= k:
-                pointer[i] += 1
-                released[i] += 1
+        for i in releases[k]:
+            backlog[i] += 1
+            heapq.heappush(heap, (-backlog[i], i))
         if k <= 2 * n:
             agent = k if k <= n else 2 * n - k + 1
-            if released[agent - 1] <= consumed[agent - 1]:
+            if not backlog[agent]:
                 raise CoveringViolation(f"ridge round {k} precedes a threshold")
         else:
-            agent = 0
-            backlog = 0
-            for i in range(n):
-                avail = released[i] - consumed[i]
-                if avail > backlog:
-                    agent, backlog = i + 1, avail
-            if agent == 0:
+            while heap and -heap[0][0] != backlog[heap[0][1]]:
+                heapq.heappop(heap)
+            if not heap:
                 raise CoveringViolation(f"no released threshold at round {k}")
-        consumed[agent - 1] += 1
+            agent = heap[0][1]
+        backlog[agent] -= 1
+        if backlog[agent]:
+            heapq.heappush(heap, (-backlog[agent], agent))
         assignment.append(agent)
     return PickingOrder(prefix=tuple(assignment))
 

@@ -205,10 +205,17 @@ class ShareReport:
 def share_report(inst: ChoreInstance, *, with_mms: bool = True, with_aps: bool = True,
                  force: bool = False) -> ShareReport:
     ps, cs, mms, aps = [], [], [], []
+    # Both oracles depend only on the cost multiset, b and n, so agents
+    # sharing a sorted row and an entitlement share one pair of calls.
+    oracles: dict[tuple, tuple[Fraction | None, Fraction | None]] = {}
     for i in range(1, inst.n + 1):
         row, b = inst.row(i), inst.entitlements[i - 1]
         ps.append(proportional_share(row, b))
         cs.append(chore_share(row, b))
-        mms.append(mms_oracle(row, inst.n, force=force) if with_mms else None)
-        aps.append(aps_oracle(row, b, force=force) if with_aps else None)
+        key = (tuple(sorted(row)), b)
+        if key not in oracles:
+            oracles[key] = (mms_oracle(row, inst.n, force=force) if with_mms else None,
+                            aps_oracle(row, b, force=force) if with_aps else None)
+        mms.append(oracles[key][0])
+        aps.append(oracles[key][1])
     return ShareReport(tuple(ps), tuple(cs), tuple(mms), tuple(aps))

@@ -45,6 +45,21 @@ class TestEvaluate:
         assert doc["ratio"] == "4/3"
         assert doc["per_agent"]["1"]["positions"][:2] == [1, 4]
 
+    @pytest.mark.parametrize("digits,labels,m", [
+        ("1221:221", "1,2,2,1:2,2,1", "20"), ("123321:23321", "1,2,3,3,2,1:2,3,3,2,1", "20"),
+        ("123321", "1,2,3,3,2,1", "6"), (":312", ":3,1,2", "9")])
+    def test_comma_labels_equal_digit_labels(self, capsys, digits, labels, m):
+        argv = ("evaluate", "--m", m, "--n", "3", "--order")
+        assert payload(capsys, *argv, labels) == payload(capsys, *argv, digits)
+
+    def test_comma_labels_reach_agent_ten(self, capsys):
+        ridge = ",".join(map(str, [*range(1, 11), *range(10, 0, -1)]))
+        doc = payload(capsys, "evaluate", "--order", f"{ridge}:{ridge[-20:]}", "--m", "40")
+        assert doc["per_agent"]["10"]["positions"] == [10, 11, 21, 31]
+        assert doc["ratio"] == "22/13"
+        doc = payload(capsys, "evaluate", "--order", "1,2,10:10,2", "--m", "12")
+        assert sorted(doc["per_agent"], key=int) == [str(i) for i in range(1, 11)]
+
 
 class TestInstanceCommands:
     def test_gen_shares_roundtrip(self, capsys, tmp_path):

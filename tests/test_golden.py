@@ -50,6 +50,8 @@ CASES = {
     "build-equal": "build --mode equal --n 8 --rho 8/5 --m 40 --schedule super",
     "ratio-test-inconclusive": "ratio-test --n 2 --rho 4/3 --horizon 60",
     "ratio-test-float-fail": "ratio-test --n 200 --rho 152/100 --horizon 1000",
+    "ratio-test-cutoff-pass": "ratio-test --n 1024 --rho 8/5 --mode super",
+    "ratio-test-float-fail-slack": "ratio-test --n 1024 --rho 77/50 --mode agent",
     "verify": "verify --entitlements 1/6,1/3,1/2 --trials 5 --m 12",
 }
 

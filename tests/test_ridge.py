@@ -1,14 +1,146 @@
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chorepick.model import InstanceError
-from chorepick.ridge import (CoveringViolation, DominationError, best_ratio_search,
-                             covering_test, fixed_order, halve_thresholds,
-                             replay_thresholds, ridge_periods, ridge_rate_margin,
-                             solve_rho_star, synthesize_order)
+from chorepick import ridge
+from chorepick.model import InstanceError, PickingOrder
+from chorepick.ridge import (RATE_SCALE, CoveringVerdict, CoveringViolation, DominationError,
+                             ThresholdSchedule, best_ratio_search, certified_cutoff,
+                             covering_of_lists, covering_ratio, covering_test, fixed_order,
+                             halve_thresholds, replay_thresholds, ridge_periods,
+                             ridge_rate_margin, solve_rho_star, synthesize_order)
 from chorepick.simulate import evaluate_order
+
+
+# Reference implementations: the Fraction schedule builder, the stepping
+# threshold loop, the full-horizon covering scan and the all-agents synthesis
+# loop that the integer ridge layer replaced. Each must agree with it exactly.
+
+def _reference_ridge_periods(n, rho, mode="agent"):
+    rho = F(rho)
+    early_cut = F(n) / rho
+    late_cut = 2 * n + 1 - 2 * F(n) / rho
+    classes, periods = [], []
+    for i in range(1, n + 1):
+        if mode == "agent":
+            if i < early_cut:
+                cls, p = 1, F(n - i) / (rho - 1)
+            elif i <= late_cut:
+                cls, p = 0, F(n) / rho
+            else:
+                cls, p = 2, F(i - 1) / (2 * (rho - 1))
+        else:
+            if i > 2 * n - 2 * F(n) / rho:
+                cls, p = 2, F(i) / (2 * (rho - 1))
+            elif i - 1 < early_cut:
+                cls, p = 1, F(n - i + 1) / (rho - 1)
+            else:
+                cls, p = 0, F(n) / rho
+        classes.append(cls)
+        periods.append(p)
+    sched = ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods), ())
+    violations = []
+    for i in range(1, n + 1):
+        cls = classes[i - 1]
+        ok = True
+        if cls == 0:
+            ok = sched.threshold(i, 1) <= i and sched.threshold(i, 2) <= 2 * n - i + 1
+        elif cls == 1:
+            ok = sched.threshold(i, 2) <= 2 * n - i + 1
+        if not ok:
+            violations.append(i)
+    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods), tuple(violations))
+
+
+def _reference_thresholds_upto(sched, agent, horizon):
+    head = (agent, 2 * sched.n - agent + 1)[:sched.classes[agent - 1]]
+    if head and head[-1] > horizon:
+        return [t for t in head if t <= horizon]
+    out = list(head)
+    base = head[-1] if head else 0
+    p = sched.periods[agent - 1]
+    k = 1
+    while True:
+        t = base + math.ceil(k * p)
+        if t > horizon:
+            return out
+        out.append(t)
+        k += 1
+
+
+def _reference_covering_test(sched, fallback_horizon=None):
+    n = sched.n
+    r_float, r_exact = covering_ratio(sched)
+    if (r_exact is not None and r_exact > 1) or (r_exact is None and r_float > 1):
+        r = r_exact if r_exact is not None else r_float
+        horizon = math.ceil(2 * n + n / (r - 1))
+        clean = "pass"
+    else:
+        horizon = fallback_horizon if fallback_horizon is not None else max(4 * n, 64)
+        clean = "inconclusive"
+    horizon = max(horizon, 2 * n)
+    failing = covering_of_lists(
+        [_reference_thresholds_upto(sched, i, horizon) for i in range(1, n + 1)], horizon)
+    return CoveringVerdict("fail" if failing is not None else clean,
+                           failing, r_float, r_exact, horizon)
+
+
+def _reference_synthesize_order(sched, m):
+    n = sched.n
+    if m > 2 * n and not sched.ridge_ok:
+        raise CoveringViolation(
+            f"ridge constraints violated for agents {sched.ridge_violations}")
+    lists = [sched.thresholds_upto(i, m) for i in range(1, n + 1)]
+    released, consumed, pointer = [0] * n, [0] * n, [0] * n
+    assignment = []
+    for k in range(1, m + 1):
+        for i in range(n):
+            lst = lists[i]
+            while pointer[i] < len(lst) and lst[pointer[i]] <= k:
+                pointer[i] += 1
+                released[i] += 1
+        if k <= 2 * n:
+            agent = k if k <= n else 2 * n - k + 1
+            if released[agent - 1] <= consumed[agent - 1]:
+                raise CoveringViolation(f"ridge round {k} precedes a threshold")
+        else:
+            agent, backlog = 0, 0
+            for i in range(n):
+                avail = released[i] - consumed[i]
+                if avail > backlog:
+                    agent, backlog = i + 1, avail
+            if agent == 0:
+                raise CoveringViolation(f"no released threshold at round {k}")
+        consumed[agent - 1] += 1
+        assignment.append(agent)
+    return PickingOrder(prefix=tuple(assignment))
+
+
+def _exact_slack(sched):
+    """B = sum(1 - c_i + base_i/p_i) over the agents' heads, exactly."""
+    total = F(0)
+    for i, p in enumerate(sched.periods, start=1):
+        head = (i, 2 * sched.n - i + 1)[:sched.classes[i - 1]]
+        total += 1 - len(head) + (head[-1] / p if head else 0)
+    return total
+
+
+def _outcome(build, *args):
+    """An order, or the message of the CoveringViolation that stopped it."""
+    try:
+        return build(*args)
+    except CoveringViolation as exc:
+        return str(exc)
+
+
+MODES = st.sampled_from(["agent", "super"])
+# Target ratios in (1, 3]: small and large denominators, grid-like and not.
+RHOS = st.integers(1, 1000).flatmap(
+    lambda c: st.integers(c + 1, 3 * c).map(lambda a: F(a, c)))
 
 
 class TestPeriods:
@@ -54,6 +186,97 @@ class TestPeriods:
             for i in range(1, n + 1):
                 ts = sched.thresholds_upto(i, 200)
                 assert all(a < b for a, b in zip(ts, ts[1:])), (n, rho, mode, i)
+
+
+class TestIntegerPeriods:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 300), rho=RHOS, mode=MODES)
+    def test_matches_fraction_reference(self, n, rho, mode):
+        sched = ridge_periods(n, rho, mode)
+        assert sched == _reference_ridge_periods(n, rho, mode)
+        assert all(type(p) is F for p in sched.periods)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 60), rho=RHOS, mode=MODES, horizon=st.integers(-2, 400))
+    def test_thresholds_match_stepping_loop(self, n, rho, mode, horizon):
+        sched = ridge_periods(n, rho, mode)
+        for i in range(1, n + 1):
+            assert (sched.thresholds_upto(i, horizon)
+                    == _reference_thresholds_upto(sched, i, horizon)), i
+
+    def test_class_boundaries_on_the_cuts(self):
+        # rho = 4/3 at n = 4 puts agent 3 exactly on the early cut n/rho, and
+        # rho = 8/5 at n = 8 puts agent 6 exactly on the super late cut.
+        for n, rho, mode in [(4, F(4, 3), "agent"), (8, F(8, 5), "super"),
+                             (6, F(3, 2), "agent"), (6, F(3, 2), "super")]:
+            assert ridge_periods(n, rho, mode) == _reference_ridge_periods(n, rho, mode)
+
+
+class TestCertifiedCutoff:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 200), rho=RHOS, mode=MODES,
+           fallback=st.none() | st.integers(0, 2000))
+    def test_verdict_matches_full_scan(self, n, rho, mode, fallback):
+        sched = ridge_periods(n, rho, mode)
+        assert (covering_test(sched, fallback).to_dict()
+                == _reference_covering_test(sched, fallback).to_dict())
+
+    @pytest.mark.parametrize("mode", ["agent", "super"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 129, 1000, 4096])
+    def test_bounds_agree_with_exact_sum(self, n, mode):
+        for rho in (F(101, 100), F(4, 3), F(1543, 1000), F(8, 5), F(2), F(5, 2)):
+            sched = ridge_periods(n, rho, mode)
+            exact = sum((1 / p for p in sched.periods), F(0))
+            rate_low, cutoff = certified_cutoff(sched)
+            assert rate_low <= exact * RATE_SCALE
+            assert exact * RATE_SCALE - rate_low <= n
+            verdict = covering_test(sched)
+            if cutoff is None:
+                assert exact <= 1 + F(n, RATE_SCALE)
+                continue
+            assert exact > 1
+            assert 2 * n <= cutoff <= verdict.horizon
+            assert cutoff >= (_exact_slack(sched) - 1) / (exact - 1)
+            if n <= 1000:
+                reference = _reference_covering_test(sched)
+                assert reference.failing_k is None or reference.failing_k <= cutoff
+                assert verdict.to_dict() == reference.to_dict()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), rho=RHOS, mode=MODES)
+    def test_counts_exceed_the_linear_bound(self, n, rho, mode):
+        # The lemma behind K*: from round 2n on, more than r*k - B thresholds
+        # are <= k, so the count reaches k once r*k - B >= k - 1.
+        sched = ridge_periods(n, rho, mode)
+        rate = sum((1 / p for p in sched.periods), F(0))
+        slack = _exact_slack(sched)
+        lists = [sched.thresholds_upto(i, 6 * n + 40) for i in range(1, n + 1)]
+        for k in range(2 * n, 6 * n + 41):
+            assert sum(bisect_right(lst, k) for lst in lists) > rate * k - slack
+
+    @pytest.mark.parametrize("n,rho,mode", [
+        (1024, F(8, 5), "super"), (1024, F(77, 50), "agent"), (2, F(4, 3), "agent"),
+        (4, F(10, 7), "agent"), (300, F(101, 100), "super")])
+    def test_scan_stops_at_the_cutoff(self, monkeypatch, n, rho, mode):
+        scanned = []
+
+        def recording(lists, upto):
+            scanned.append(upto)
+            return covering_of_lists(lists, upto)
+
+        monkeypatch.setattr(ridge, "covering_of_lists", recording)
+        sched = ridge_periods(n, rho, mode)
+        verdict = covering_test(sched)
+        cutoff = certified_cutoff(sched)[1]
+        expected = verdict.horizon if cutoff is None else min(verdict.horizon, cutoff)
+        assert scanned == [expected]
+
+    def test_paper_scale_cutoff_shrinks_the_scan(self):
+        sched = ridge_periods(16384, F(1543, 1000), "super")
+        verdict = covering_test(sched)
+        cutoff = certified_cutoff(sched)[1]
+        assert verdict.ok
+        assert cutoff < verdict.horizon // 2
 
 
 class TestCoveringTest:
@@ -137,6 +360,31 @@ class TestSynthesis:
         assert verdict.ok
         order = synthesize_order(sched, verdict.horizon)
         assert evaluate_order(order, n, verdict.horizon).ratio <= rho
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), rho=RHOS, mode=MODES, m=st.integers(0, 400))
+    def test_matches_all_agents_reference(self, n, rho, mode, m):
+        sched = ridge_periods(n, rho, mode)
+        assert (_outcome(synthesize_order, sched, m)
+                == _outcome(_reference_synthesize_order, sched, m))
+
+    def test_reference_sees_covering_failures(self):
+        # The comparison above must meet stuck rounds past the ridge, not
+        # only clean orders and ridge violations.
+        seen = 0
+        for n in range(2, 30):
+            for num in range(105, 200, 7):
+                sched = ridge_periods(n, F(num, 100))
+                got = _outcome(synthesize_order, sched, 8 * n)
+                assert got == _outcome(_reference_synthesize_order, sched, 8 * n)
+                seen += isinstance(got, str) and got.startswith("no released")
+        assert seen > 0
+
+    def test_paper_scale_order_matches_reference(self):
+        sched = ridge_periods(1024, F(8, 5), "super")
+        m = covering_test(sched).horizon
+        assert synthesize_order(sched, m) == _reference_synthesize_order(sched, m)
 
 
 class TestFixedOrders:

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chorepick.model import SizeGuardError
-from chorepick.shares import (aps_oracle, chore_share, mms_oracle,
-                              proportional_share)
+from chorepick import shares
+from chorepick.model import ChoreInstance, SizeGuardError
+from chorepick.shares import (ShareReport, aps_oracle, chore_share, mms_oracle,
+                              proportional_share, share_report)
 from chorepick._simplex import LpInfeasible, LpUnbounded, maximize
 
 
@@ -155,3 +156,52 @@ class TestShareChain:
         rng.shuffle(shuffled)
         assert chore_share(shuffled, b) == chore_share(row, b)
         assert aps_oracle(shuffled, b) == aps_oracle(row, b)
+
+
+class TestShareReport:
+    @staticmethod
+    def _per_agent(inst):
+        rows = [(inst.row(i), inst.entitlements[i - 1]) for i in range(1, inst.n + 1)]
+        return ShareReport(tuple(proportional_share(r, b) for r, b in rows),
+                           tuple(chore_share(r, b) for r, b in rows),
+                           tuple(mms_oracle(r, inst.n) for r, _ in rows),
+                           tuple(aps_oracle(r, b) for r, b in rows))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)), (F(1, 3),) * 3,
+                            (F(1, 4), F(1, 2), F(1, 4)), (F(1, 6), F(1, 3), F(1, 2)),
+                            (F(1, 4),) * 4, (F(1, 6), F(1, 3), F(1, 6), F(1, 3))])
+           .flatmap(lambda ents: st.tuples(
+               st.just(ents),
+               st.lists(st.permutations([0, 1, 1, 2, 4]), min_size=len(ents),
+                        max_size=len(ents)),
+               st.lists(st.integers(1, 2), min_size=len(ents), max_size=len(ents)))))
+    def test_matches_per_agent_oracles(self, drawn):
+        # Rows are permutations of two multisets, so agents often share a
+        # sorted row (and an entitlement) without sharing the row itself.
+        ents, perms, scales = drawn
+        rows = tuple(tuple(F(c * w) for c in perm) for perm, w in zip(perms, scales))
+        inst = ChoreInstance(ents, rows)
+        assert share_report(inst) == self._per_agent(inst)
+
+    def test_oracles_run_once_per_distinct_row_and_entitlement(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(shares, name)
+
+            def oracle(row, *args, **kwargs):
+                calls.append(name)
+                return real(row, *args, **kwargs)
+            return oracle
+
+        for name in ("aps_oracle", "mms_oracle"):
+            monkeypatch.setattr(shares, name, counted(name))
+        row = (F(3), F(1), F(2), F(2))
+        # Agents 1 and 2 share a sorted row and an entitlement; agent 3 has
+        # the row at another entitlement, agent 4 another row.
+        inst = ChoreInstance((F(1, 6), F(1, 6), F(1, 3), F(1, 3)),
+                             (row, row[::-1], row, (F(5),) * 4))
+        report = share_report(inst)
+        assert sorted(calls) == ["aps_oracle"] * 3 + ["mms_oracle"] * 3
+        assert report.anyprice[:2] == (aps_oracle(row, F(1, 6)),) * 2
