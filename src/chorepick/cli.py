@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -222,7 +223,10 @@ def _cmd_verify(args) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse returns a
+    fresh Namespace, so no state carries from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="chorepick",
         description="Construct and verify picking sequences for chore allocation.")

@@ -19,22 +19,33 @@ blocks), giving (n-i+1)/(rho-1) and i/(2(rho-1)) instead.
 An order exists iff the thresholds *cover* every round: at least k
 thresholds of value <= k for every k. Failing any finite k refutes the
 schedule outright. Passing is conclusive once the covering ratio
-r = sum 1/p(i) exceeds 1: every round past 2n + n/(r-1) is then covered
+r = sum 1/p(i) exceeds 1: every round past a finite K* is then covered
 automatically, so only a finite scan is needed. At r <= 1 a clean scan is
 reported as inconclusive.
 
 Schedules and thresholds are integer-exact. With rho = a/c, every class is
-decided by an integer cross-multiplication, every period is built once as a
-Fraction of two integers, and the t-th step of a period num/den lands on
-base + ceil(t*num/den), computed by integer division. The covering scan
-stops at a certified round K* (see ``certified_cutoff``), from integer
-bounds on r and on the agents' head offsets scaled by 2^64: no round past
-K* can fail, so the verdict, horizon and failing round are those of a scan
-to the horizon. The covering ratio itself is summed exactly for small n and
-in floating point for large n (the exact value has an astronomically long
-denominator there). That float still picks between pass and inconclusive
-and sets the reported horizon; it never affects a threshold or the rounds
-a scan must visit.
+decided by an integer cross-multiplication, and every period is kept as the
+integer pair (num, den) it is computed as; the t-th step of a period lands
+on base + ceil(t*num/den), computed by integer division. The Fractions of
+``ThresholdSchedule.periods`` are built only when first read.
+
+The covering scan counts in one pass over the agents: each head entry and
+each period step is added straight into one count array indexed by round,
+and the class-0 agents, who share the period n/rho and have no head, are
+stepped once with their number as the weight. The array is the only
+structure whose size grows with the scan. Every period is at least n/rho,
+so a scan to round K counts at most 2n + K*rho thresholds; a scan with
+K*rho above ``SCAN_LIMIT`` is refused with a ``SizeGuardError`` before
+anything is allocated.
+
+The verdict rests on integers alone. ``certified_cutoff`` returns an
+integer lower bound R on RATE_SCALE * r, off by less than n: R > RATE_SCALE
+proves r > 1, R + n <= RATE_SCALE proves r <= 1, and only between the two
+is the exact sum formed. With r > 1 the scan runs to the certified round K*
+(see ``certified_cutoff``), past which no round can fail, so a clean scan
+is a proof. The reported covering ratio (exact for small n, floating point
+beyond, since the exact value has an astronomically long denominator) and
+the reported horizon decide nothing.
 """
 
 from __future__ import annotations
@@ -43,12 +54,16 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .model import InstanceError, PickingOrder
+from .model import InstanceError, PickingOrder, SizeGuardError
 
 EXACT_RATIO_LIMIT = 128
 RATE_SCALE = 1 << 64   # fixed-point scale of the certified covering bounds
+# Most thresholds one scan may count, bounded as rounds x rho. The paper's
+# n = 16384 tests scan to K* = 197,603 rounds at rho < 1.6.
+SCAN_LIMIT = 1 << 24
 SEARCH_LO, SEARCH_HI = Fraction(101, 100), Fraction(2)  # best_ratio_search bracket
 
 
@@ -66,14 +81,22 @@ class DominationError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """Per-agent class, exact period, and generated release thresholds."""
+    """Per-agent class, exact period, and generated release thresholds.
+
+    Agent i's period is period_pairs[i-1] = (num, den), the value num/den,
+    not necessarily in lowest terms."""
 
     n: int
     rho: Fraction
     mode: str
     classes: tuple[int, ...]
-    periods: tuple[Fraction, ...]
+    period_pairs: tuple[tuple[int, int], ...]
     ridge_violations: tuple[int, ...]
+
+    @cached_property
+    def periods(self) -> tuple[Fraction, ...]:
+        """The periods as Fractions, built on first read."""
+        return tuple(Fraction(num, den) for num, den in self.period_pairs)
 
     @property
     def ridge_ok(self) -> bool:
@@ -90,10 +113,9 @@ class ThresholdSchedule:
         head = self._head(agent)
         if t <= len(head):
             return head[t - 1]
-        p = self.periods[agent - 1]
+        num, den = self.period_pairs[agent - 1]
         base = head[-1] if head else 0
-        k = t - len(head)
-        return base + (-((-k * p.numerator) // p.denominator))
+        return base - (-(t - len(head)) * num // den)
 
     def thresholds_upto(self, agent: int, horizon: int) -> list[int]:
         """All thresholds of an agent with value <= horizon, in order."""
@@ -101,8 +123,7 @@ class ThresholdSchedule:
         base = head[-1] if head else 0
         if base > horizon:
             return [t for t in head if t <= horizon]
-        p = self.periods[agent - 1]
-        num, den = p.numerator, p.denominator
+        num, den = self.period_pairs[agent - 1]
         # Step k lands on base + ceil(k*num/den), which is <= horizon iff
         # k*num <= (horizon - base)*den.
         return [*head, *[base - (-x // den)
@@ -113,7 +134,7 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
     """Classes and periods for n agents at target ratio rho.
 
     With rho = a/c every class test is an integer cross-multiplication and
-    every period is one Fraction(num, den) of integers.
+    every period is one integer pair (num, den).
 
     >>> from fractions import Fraction as F
     >>> ridge_periods(4, F(10, 7)).periods
@@ -126,17 +147,20 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
         raise ValueError(f"target ratio must exceed 1, got {rho}")
     if mode not in ("agent", "super"):
         raise ValueError(f"mode must be 'agent' or 'super', got {mode!r}")
+    if 2 * n > SCAN_LIMIT:
+        raise SizeGuardError(f"{n} agents exceed the guard of {SCAN_LIMIT // 2}: "
+                             f"no covering scan could reach round 2n")
     a, c = rho.numerator, rho.denominator
     gap = a - c                      # rho - 1 = gap/c
     nc = n * c                       # i < n/rho  iff  i*a < nc
-    mid = Fraction(nc, a)            # the class-0 period n/rho, shared
+    mid = (nc, a)                    # the class-0 period n/rho, shared
     # A class-0 agent's first two thresholds ceil(n/rho) and ceil(2n/rho)
     # must not pass its ridge rounds i and 2n-i+1.
     mid_first, mid_second = -(-nc // a), -(-2 * nc // a)
     agent_late = (2 * n + 1) * a - 2 * nc   # class 2 beyond it (agent mode)
     super_late = 2 * n * gap                # class 2 beyond it (super mode)
     classes: list[int] = []
-    periods: list[Fraction] = []
+    pairs: list[tuple[int, int]] = []
     violations: list[int] = []
     for i in range(1, n + 1):
         ia = i * a
@@ -159,16 +183,16 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
                 cls = 0
         classes.append(cls)
         if cls == 0:
-            periods.append(mid)
+            pairs.append(mid)
             if mid_first > i or mid_second > 2 * n - i + 1:
                 violations.append(i)
         else:
-            periods.append(Fraction(num, den))
+            pairs.append((num, den))
             # A class-1 agent's second threshold i + ceil(p) must not pass
             # its second ridge round 2n-i+1.
             if cls == 1 and i - (-num // den) > 2 * n - i + 1:
                 violations.append(i)
-    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods), tuple(violations))
+    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(pairs), tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -193,69 +217,148 @@ class CoveringVerdict:
         }
 
 
+def exact_rate(sched: ThresholdSchedule) -> Fraction:
+    """The covering ratio r = sum 1/p(i) as one Fraction."""
+    return sum((Fraction(den, num) for num, den in sched.period_pairs), Fraction(0))
+
+
 def covering_ratio(sched: ThresholdSchedule) -> tuple[float, Fraction | None]:
-    """Sum of pick rates 1/p(i); exact for small n, floating point beyond."""
-    if sched.n <= EXACT_RATIO_LIMIT:
-        exact = sum((1 / p for p in sched.periods), Fraction(0))
-        return float(exact), exact
-    return math.fsum(p.denominator / p.numerator for p in sched.periods), None
+    """Sum of pick rates 1/p(i), reported beside a verdict: exact for small n,
+    floating point beyond. It decides nothing (see ``covering_test``)."""
+    try:
+        if sched.n <= EXACT_RATIO_LIMIT:
+            exact = exact_rate(sched)
+            return float(exact), exact
+        return math.fsum(den / num for num, den in sched.period_pairs), None
+    except OverflowError:
+        raise ValueError("the covering ratio overflows a float; "
+                         "the target ratio is too large") from None
 
 
-def certified_cutoff(sched: ThresholdSchedule) -> tuple[int, int | None]:
+def certified_cutoff(sched: ThresholdSchedule,
+                     scale: int = RATE_SCALE) -> tuple[int, int | None]:
     """Integer bounds on the covering ratio and on the last round that can fail.
 
-    Returns (R, K*). R <= RATE_SCALE * r is a certified lower bound on the
-    covering ratio r = sum 1/p(i). From round 2n on every agent has passed
-    its head (c_i entries ending at base_i), so it holds more than
-    c_i - 1 + (k - base_i)/p_i thresholds <= k, and all agents together more
-    than r*k - B with B = sum(1 - c_i + base_i/p_i). That integer count
-    reaches k once r*k - B >= k - 1, so every round
+    Returns (R, K*). R <= scale * r is a certified lower bound on the
+    covering ratio r = sum 1/p(i), and scale * r - R < n. From round 2n on
+    every agent has passed its head (c_i entries ending at base_i), so it
+    holds more than c_i - 1 + (k - base_i)/p_i thresholds <= k, and all
+    agents together more than r*k - B with B = sum(1 - c_i + base_i/p_i).
+    That integer count reaches k once r*k - B >= k - 1, so every round
     k >= K* = max(2n, (B-1)/(r-1)) is covered. K* is computed from R and an
-    upper bound on RATE_SCALE * (B-1), and is None when R <= RATE_SCALE,
-    where no such round need exist.
+    upper bound on scale * (B-1), and is None when R <= scale, where no
+    such round need exist.
     """
-    rate_low, slack_high = 0, -RATE_SCALE
-    for agent, p in enumerate(sched.periods, start=1):
-        head = sched._head(agent)
-        q, rem = divmod(RATE_SCALE * p.denominator, p.numerator)
+    rate_low, slack_high = 0, -scale
+    last = 2 * sched.n + 1
+    zeros = 0
+    for agent, cls, (num, den) in zip(range(1, sched.n + 1), sched.classes,
+                                      sched.period_pairs):
+        if not cls:
+            zeros += 1
+            continue
+        q, rem = divmod(scale * den, num)
         rate_low += q
-        slack_high += RATE_SCALE * (1 - len(head))
-        if head:
-            slack_high += head[-1] * (q + (rem > 0))
-    if rate_low <= RATE_SCALE:
+        base = agent if cls == 1 else last - agent
+        slack_high += base * (q + (rem > 0)) - scale * (cls - 1)
+    if zeros:
+        num, den = sched.period_pairs[sched.classes.index(0)]
+        rate_low += zeros * (scale * den // num)
+        slack_high += zeros * scale
+    if rate_low <= scale:
         return rate_low, None
-    return rate_low, max(2 * sched.n, -(-slack_high // (rate_low - RATE_SCALE)))
+    return rate_low, max(2 * sched.n, -(-slack_high // (rate_low - scale)))
+
+
+def _guard_scan(sched: ThresholdSchedule, upto: int) -> None:
+    """Refuse a scan to round ``upto`` that could count more than SCAN_LIMIT
+    thresholds (at most 2n + upto*rho of them are <= upto)."""
+    if upto * sched.rho.numerator > SCAN_LIMIT * sched.rho.denominator:
+        rounds = upto if upto < RATE_SCALE else "beyond 2^64"
+        raise SizeGuardError(f"a covering scan to round {rounds} at this target ratio "
+                             f"exceeds the guard of {SCAN_LIMIT} thresholds (rounds x rho)")
+
+
+def threshold_counts(sched: ThresholdSchedule, upto: int) -> list[int]:
+    """counts[k] = the number of thresholds equal to k, for k <= upto.
+
+    One pass over the agents adds every head entry and period step <= upto
+    into the array; the class-0 agents' shared steps are added once, weighted
+    by their number."""
+    _guard_scan(sched, upto)
+    counts = [0] * (upto + 1)
+    last = 2 * sched.n + 1
+    zeros = 0
+    for agent, cls, (num, den) in zip(range(1, sched.n + 1), sched.classes,
+                                      sched.period_pairs):
+        if not cls:
+            zeros += 1
+            continue
+        if cls == 1:
+            base = agent
+        else:
+            base = last - agent
+            if agent <= upto:
+                counts[agent] += 1
+        if base > upto:
+            continue
+        counts[base] += 1
+        # Step k lands on base + ceil(k*num/den) = base - (-k*num // den),
+        # which is <= upto iff k*num <= (upto - base)*den.
+        for x in range(-num, (base - upto) * den - 1, -num):
+            counts[base - x // den] += 1
+    if zeros:
+        num, den = sched.period_pairs[sched.classes.index(0)]
+        for x in range(-num, -upto * den - 1, -num):
+            counts[-(x // den)] += zeros
+    return counts
+
+
+def _first_uncovered(counts: list[int]) -> int | None:
+    """Smallest k >= 1 with counts[1] + ... + counts[k] < k, or None."""
+    covered = 0
+    for k in range(1, len(counts)):
+        covered += counts[k]
+        if covered < k:
+            return k
+    return None
 
 
 def covering_test(sched: ThresholdSchedule,
                   fallback_horizon: int | None = None) -> CoveringVerdict:
-    """Check that at least k thresholds are <= k for every k up to the horizon.
+    """Check that at least k thresholds are <= k for every round k.
 
-    With covering ratio r > 1 the horizon ceil(2n + n/(r-1)) is conclusive: a
-    clean scan proves an order with ratio <= rho exists. With r <= 1 no finite
-    horizon is conclusive, so a clean scan up to the caller-supplied fallback
-    (default max(4n, 64)) returns "inconclusive". A violated round is
-    definitive either way and the smallest one is reported. The scan itself
-    stops at the certified cut-off K* when that comes first, since no later
-    round can fail.
+    The verdict follows ``certified_cutoff``'s integers. When they prove
+    r > 1, a clean scan to the certified round K* proves that an order with
+    ratio <= rho exists: "pass". When they prove r <= 1 no finite scan is
+    conclusive, so a clean scan up to the caller-supplied fallback (default
+    max(4n, 64), at least 2n) is "inconclusive". When R is within n of
+    RATE_SCALE the exact sum decides, and for r > 1 the bounds are redone at
+    a scale fine enough to give K*. A violated round refutes the schedule
+    either way and the smallest one is reported.
+
+    The reported ``covering_ratio`` and ``horizon`` decide nothing. With
+    r > 1 the horizon is ceil(2n + n/(r-1)) from the reported ratio, raised
+    to K* when that is larger; otherwise it is the fallback scanned.
     """
     n = sched.n
     r_float, r_exact = covering_ratio(sched)
-    if (r_exact is not None and r_exact > 1) or (r_exact is None and r_float > 1):
-        if r_exact is not None:
-            horizon = math.ceil(2 * n + n / (r_exact - 1))
-        else:
-            horizon = math.ceil(2 * n + n / (r_float - 1))
-        clean = "pass"
+    rate_low, cutoff = certified_cutoff(sched)
+    if rate_low <= RATE_SCALE < rate_low + n:
+        exact = r_exact if r_exact is not None else exact_rate(sched)
+        if exact > 1:
+            # A scale above n/(r-1) puts R above the scale.
+            over = n * exact.denominator // (exact.numerator - exact.denominator)
+            cutoff = certified_cutoff(sched, 1 << over.bit_length() + 1)[1]
+    if cutoff is not None:
+        r = r_exact if r_exact is not None else r_float
+        horizon = max(math.ceil(2 * n + n / (r - 1)), cutoff) if r > 1 else cutoff
+        scan, clean = cutoff, "pass"
     else:
         horizon = fallback_horizon if fallback_horizon is not None else max(4 * n, 64)
+        horizon = scan = max(horizon, 2 * n)
         clean = "inconclusive"
-    horizon = max(horizon, 2 * n)
-
-    cutoff = certified_cutoff(sched)[1]
-    scan = horizon if cutoff is None else min(horizon, cutoff)
-    failing = covering_of_lists(
-        (sched.thresholds_upto(agent, scan) for agent in range(1, n + 1)), scan)
+    failing = _first_uncovered(threshold_counts(sched, scan))
     status = "fail" if failing is not None else clean
     return CoveringVerdict(status, failing, r_float, r_exact, horizon)
 
@@ -274,6 +377,7 @@ def synthesize_order(sched: ThresholdSchedule, m: int) -> PickingOrder:
     surfaces. A call costs O((m + T) log(m + T)) for T thresholds <= m.
     """
     n = sched.n
+    _guard_scan(sched, m)
     if m > 2 * n and not sched.ridge_ok:
         raise CoveringViolation(
             f"ridge constraints violated for agents {sched.ridge_violations}")
@@ -367,12 +471,7 @@ def covering_of_lists(lists: Iterable[Sequence[int]], upto: int) -> int | None:
         for t in lst:
             if t <= upto:
                 counts[t] += 1
-    covered = 0
-    for k in range(1, upto + 1):
-        covered += counts[k]
-        if covered < k:
-            return k
-    return None
+    return _first_uncovered(counts)
 
 
 def halve_thresholds(sched: ThresholdSchedule, horizon: int,

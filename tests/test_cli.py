@@ -1,8 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chorepick.cli import (EXIT_FILE, EXIT_GUARD, EXIT_INVALID, EXIT_OK, main)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -198,6 +204,23 @@ class TestErrorExits:
         assert code == EXIT_INVALID
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("n", ["3", "300"])
+    def test_target_ratio_beyond_a_float(self, capsys, n):
+        code, out, err = run(capsys, "ratio-test", "--n", n, "--rho", "1e400")
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("ratio-test", "--n", "2", "--rho", "4/3", "--horizon", "10000000000"),
+        ("ratio-test", "--n", "3", "--rho", "1000000000000000"),
+        ("build", "--mode", "equal", "--n", "3", "--rho", "1000000000000000", "--m", "10"),
+        ("search", "--n", "3", "--tol", "1e-12"),
+    ], ids=["ratio-test-horizon", "ratio-test-huge-rho", "build-huge-rho", "search-tiny-tol"])
+    def test_scan_size_guard(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_GUARD
+        assert out == "" and "guard" in err and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, capsys):
@@ -211,3 +234,78 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# Argument fuzz: every subcommand, sizes capped (n, m <= 32) so each case
+# stays small. Every argv must end in a documented exit code, never in an
+# uncaught exception.
+SMALL = st.integers(-3, 32).map(str)
+RATIONAL = st.sampled_from(["3/2", "8/5", "101/100", "4/3", "7/5", "2", "1", "0", "-1",
+                            "1/2", "1e400", "1e-400", "1000000000000000", "1.5", "nan",
+                            "inf", "x", "1/0", ""])
+ENTITLEMENTS = st.lists(st.sampled_from(["1/2", "1/3", "1/6", "1/4", "0", "-1/2", "1", "x"]),
+                        min_size=1, max_size=5).map(",".join)
+ORDER = st.sampled_from(["n2", "n3", "n4", "super8", "1221:221", "123:321", "1,2,10:10,2",
+                         ":", "", "12a", "0", "1,,2", ":3,1,2", str(GOLDEN / "order_cycle.json"),
+                         str(GOLDEN / "order_assignment.json"), str(GOLDEN / "missing.json"),
+                         str(GOLDEN / "tight3.json")])
+INPUT = st.sampled_from([str(GOLDEN / name) for name in
+                         ("tight3.json", "general.json", "audit4.json", "order_cycle.json",
+                          "missing.json", "")])
+SEQ = st.lists(st.integers(-1, 6).map(str), max_size=10).map(",".join) | st.just("1,x")
+FLAG = st.just(None)
+
+SUBCOMMANDS = {
+    "gen": {"--kind": st.sampled_from(["random", "tight", "tension", "gap", "other"]),
+            "--n": SMALL, "--m": SMALL, "--max-cost": SMALL, "--seed": SMALL},
+    "shares": {"--input": INPUT, "--no-mms": FLAG, "--no-aps": FLAG, "--force": FLAG},
+    "build": {"--mode": st.sampled_from(["arbitrary", "equal"]), "--entitlements": ENTITLEMENTS,
+              "--m": SMALL, "--scaling": st.sampled_from(["production", "half-plus-x"]),
+              "--t": RATIONAL, "--no-trace": FLAG, "--n": SMALL, "--rho": RATIONAL,
+              "--schedule": st.sampled_from(["agent", "super"])},
+    "simulate": {"--order": ORDER, "--input": INPUT},
+    "evaluate": {"--order": ORDER, "--m": SMALL, "--n": SMALL},
+    "ratio-test": {"--n": SMALL, "--rho": RATIONAL,
+                   "--mode": st.sampled_from(["agent", "super"]),
+                   "--horizon": SMALL | st.just("10000000000")},
+    "search": {"--n": SMALL, "--mode": st.sampled_from(["agent", "super"]),
+               "--tol": st.sampled_from(["1/10", "1/100", "1/1000", "0", "-1", "x", "1e400"])},
+    "algchores": {"--input": INPUT, "--trace": FLAG, "--with-aps": FLAG, "--force": FLAG},
+    "envy": {"--seq": SEQ, "--check-suffix": st.tuples(SMALL, SMALL),
+             "--audit": st.sampled_from(["label_pick", "prsd", "random", "x"]), "--input": INPUT,
+             "--tension-example": SMALL},
+    "verify": {"--entitlements": ENTITLEMENTS, "--trials": st.integers(-1, 8).map(str),
+               "--seed": SMALL, "--m": SMALL},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    options = SUBCOMMANDS[command]
+    argv = [command]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        value = draw(options[name])
+        argv.append(name)
+        if isinstance(value, tuple):
+            argv.extend(value)
+        elif value is not None:
+            argv.append(value)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_argv_fuzz_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 6):
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""

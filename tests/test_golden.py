@@ -71,6 +71,15 @@ def test_golden(case):
     assert out.encode() == (GOLDEN / f"{case}.out").read_bytes()
 
 
+def test_corpus_replays_in_one_process():
+    # The CLI parser is built once per process; a second pass over the
+    # corpus, in reverse order, must print the same bytes as the first.
+    first = {case: _run(case) for case in sorted(CASES)}
+    second = {case: _run(case) for case in sorted(CASES, reverse=True)}
+    assert second == first
+    assert all(code == EXIT_OK for code, _ in first.values())
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         code, out = _run(case)

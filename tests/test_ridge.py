@@ -7,18 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorepick import ridge
-from chorepick.model import InstanceError, PickingOrder
+from chorepick.model import InstanceError, PickingOrder, SizeGuardError
 from chorepick.ridge import (RATE_SCALE, CoveringVerdict, CoveringViolation, DominationError,
                              ThresholdSchedule, best_ratio_search, certified_cutoff,
-                             covering_of_lists, covering_ratio, covering_test, fixed_order,
-                             halve_thresholds, replay_thresholds, ridge_periods,
-                             ridge_rate_margin, solve_rho_star, synthesize_order)
+                             covering_of_lists, covering_ratio, covering_test, exact_rate,
+                             fixed_order, halve_thresholds, replay_thresholds, ridge_periods,
+                             ridge_rate_margin, solve_rho_star, synthesize_order,
+                             threshold_counts)
 from chorepick.simulate import evaluate_order
 
 
 # Reference implementations: the Fraction schedule builder, the stepping
-# threshold loop, the full-horizon covering scan and the all-agents synthesis
-# loop that the integer ridge layer replaced. Each must agree with it exactly.
+# threshold loop, the full-horizon covering scan, the per-agent threshold-list
+# count and the all-agents synthesis loop that the integer ridge layer
+# replaced. Each must agree with it exactly.
+
+def _pairs(periods):
+    return tuple((p.numerator, p.denominator) for p in periods)
+
 
 def _reference_ridge_periods(n, rho, mode="agent"):
     rho = F(rho)
@@ -42,7 +48,7 @@ def _reference_ridge_periods(n, rho, mode="agent"):
                 cls, p = 0, F(n) / rho
         classes.append(cls)
         periods.append(p)
-    sched = ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods), ())
+    sched = ThresholdSchedule(n, rho, mode, tuple(classes), _pairs(periods), ())
     violations = []
     for i in range(1, n + 1):
         cls = classes[i - 1]
@@ -53,7 +59,13 @@ def _reference_ridge_periods(n, rho, mode="agent"):
             ok = sched.threshold(i, 2) <= 2 * n - i + 1
         if not ok:
             violations.append(i)
-    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(periods), tuple(violations))
+    return ThresholdSchedule(n, rho, mode, tuple(classes), _pairs(periods), tuple(violations))
+
+
+def _schedule_facts(sched):
+    """What a schedule says, with each period as a Fraction in lowest terms."""
+    return (sched.n, sched.rho, sched.mode, sched.classes, sched.periods,
+            sched.ridge_violations)
 
 
 def _reference_thresholds_upto(sched, agent, horizon):
@@ -87,6 +99,15 @@ def _reference_covering_test(sched, fallback_horizon=None):
         [_reference_thresholds_upto(sched, i, horizon) for i in range(1, n + 1)], horizon)
     return CoveringVerdict("fail" if failing is not None else clean,
                            failing, r_float, r_exact, horizon)
+
+
+def _reference_counts(sched, upto):
+    """The count array of the thresholds_upto-list scan: one list per agent."""
+    counts = [0] * (upto + 1)
+    for i in range(1, sched.n + 1):
+        for t in sched.thresholds_upto(i, upto):
+            counts[t] += 1
+    return counts
 
 
 def _reference_synthesize_order(sched, m):
@@ -193,7 +214,7 @@ class TestIntegerPeriods:
     @given(n=st.integers(1, 300), rho=RHOS, mode=MODES)
     def test_matches_fraction_reference(self, n, rho, mode):
         sched = ridge_periods(n, rho, mode)
-        assert sched == _reference_ridge_periods(n, rho, mode)
+        assert _schedule_facts(sched) == _schedule_facts(_reference_ridge_periods(n, rho, mode))
         assert all(type(p) is F for p in sched.periods)
 
     @settings(max_examples=200, deadline=None)
@@ -209,7 +230,8 @@ class TestIntegerPeriods:
         # rho = 8/5 at n = 8 puts agent 6 exactly on the super late cut.
         for n, rho, mode in [(4, F(4, 3), "agent"), (8, F(8, 5), "super"),
                              (6, F(3, 2), "agent"), (6, F(3, 2), "super")]:
-            assert ridge_periods(n, rho, mode) == _reference_ridge_periods(n, rho, mode)
+            assert (_schedule_facts(ridge_periods(n, rho, mode))
+                    == _schedule_facts(_reference_ridge_periods(n, rho, mode)))
 
 
 class TestCertifiedCutoff:
@@ -260,16 +282,15 @@ class TestCertifiedCutoff:
     def test_scan_stops_at_the_cutoff(self, monkeypatch, n, rho, mode):
         scanned = []
 
-        def recording(lists, upto):
+        def recording(sched, upto):
             scanned.append(upto)
-            return covering_of_lists(lists, upto)
+            return threshold_counts(sched, upto)
 
-        monkeypatch.setattr(ridge, "covering_of_lists", recording)
+        monkeypatch.setattr(ridge, "threshold_counts", recording)
         sched = ridge_periods(n, rho, mode)
         verdict = covering_test(sched)
         cutoff = certified_cutoff(sched)[1]
-        expected = verdict.horizon if cutoff is None else min(verdict.horizon, cutoff)
-        assert scanned == [expected]
+        assert scanned == [verdict.horizon if cutoff is None else cutoff]
 
     def test_paper_scale_cutoff_shrinks_the_scan(self):
         sched = ridge_periods(16384, F(1543, 1000), "super")
@@ -277,6 +298,96 @@ class TestCertifiedCutoff:
         cutoff = certified_cutoff(sched)[1]
         assert verdict.ok
         assert cutoff < verdict.horizon // 2
+
+
+class TestOnePassCount:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), rho=RHOS, mode=MODES, upto=st.integers(0, 3000))
+    def test_counts_and_verdict_match_the_list_scan(self, n, rho, mode, upto):
+        sched = ridge_periods(n, rho, mode)
+        counts = threshold_counts(sched, upto)
+        assert counts == _reference_counts(sched, upto)
+        lists = (sched.thresholds_upto(i, upto) for i in range(1, n + 1))
+        assert ridge._first_uncovered(counts) == covering_of_lists(lists, upto)
+
+    def test_scan_leaves_the_fraction_periods_unbuilt(self):
+        sched = ridge_periods(4096, F(1543, 1000), "super")
+        assert covering_test(sched).ok
+        assert "periods" not in vars(sched)
+        assert sched.periods[0] == F(4096 * 1000, 543)
+        assert "periods" in vars(sched)
+
+
+class TestIntegerVerdict:
+    @pytest.mark.parametrize("n,rho,mode,status", [
+        (1024, F(8, 5), "super", "pass"), (1024, F(77, 50), "agent", "fail"),
+        (200, F(152, 100), "agent", "fail"), (4, F(10, 7), "agent", "fail"),
+        (2, F(4, 3), "agent", "inconclusive")])
+    def test_verdict_ignores_a_misrounded_float(self, monkeypatch, n, rho, mode, status):
+        sched = ridge_periods(n, rho, mode)
+        honest = covering_test(sched)
+        assert honest.status == status
+        r_exact = exact_rate(sched)
+        # A float on the wrong side of 1, with no exact value to correct it.
+        stub = 0.99 if r_exact > 1 else 1.01
+        monkeypatch.setattr(ridge, "covering_ratio", lambda sched: (stub, None))
+        bent = covering_test(sched)
+        assert (bent.status, bent.failing_k) == (honest.status, honest.failing_k)
+        assert bent.covering_ratio == stub
+        cutoff = certified_cutoff(sched)[1]
+        assert bent.horizon == (honest.horizon if cutoff is None else cutoff)
+
+    def test_bounds_within_n_of_the_scale_fall_back_to_the_exact_sum(self):
+        # r exceeds 1 by far less than n/2^64: R cannot tell, the exact sum
+        # says r > 1, and the refined K* is far beyond any scan.
+        sched = ridge_periods(2, F(4, 3) + F(1, 10 ** 25))
+        rate_low, cutoff = certified_cutoff(sched)
+        assert rate_low <= RATE_SCALE < rate_low + 2 and cutoff is None
+        r = exact_rate(sched)
+        assert r > 1
+        scale = 1 << 200
+        assert scale * (r - 1) > 2
+        fine = certified_cutoff(sched, scale)[1]
+        assert fine is not None and fine >= (_exact_slack(sched) - 1) / (r - 1)
+        with pytest.raises(SizeGuardError):
+            covering_test(sched)
+
+    def test_rate_exactly_one_at_many_agents_is_inconclusive(self):
+        # The bounds straddle the scale and the exact sum is exactly 1.
+        sched = ridge_periods(2, F(4, 3))
+        rate_low = certified_cutoff(sched)[0]
+        assert rate_low <= RATE_SCALE < rate_low + 2
+        assert covering_test(sched).status == "inconclusive"
+
+
+class TestScanGuard:
+    def test_fallback_horizon_beyond_the_guard(self):
+        with pytest.raises(SizeGuardError, match="guard"):
+            covering_test(ridge_periods(2, F(4, 3)), fallback_horizon=10 ** 12)
+
+    def test_huge_target_ratio_is_refused_before_the_scan(self):
+        # Periods of 3/10^15 rounds: a scan to round 6 would count 2*10^15
+        # steps.
+        sched = ridge_periods(3, F(10 ** 15))
+        with pytest.raises(SizeGuardError):
+            covering_test(sched)
+        with pytest.raises(SizeGuardError):
+            synthesize_order(sched, 10)
+
+    def test_guard_sits_far_above_the_paper_scale(self):
+        for mode, rho in (("super", F(1543, 1000)), ("agent", F(1542, 1000))):
+            cutoff = certified_cutoff(ridge_periods(16384, rho, mode))[1]
+            assert cutoff * rho * 50 < ridge.SCAN_LIMIT
+
+    def test_too_many_agents_for_any_scan(self):
+        with pytest.raises(SizeGuardError):
+            ridge_periods(ridge.SCAN_LIMIT // 2 + 1, F(3, 2))
+
+    def test_search_toward_rate_one_stops_at_the_guard(self, monkeypatch):
+        # Bisecting to a tiny tolerance drives r toward 1, where K* explodes.
+        monkeypatch.setattr(ridge, "SCAN_LIMIT", 10 ** 5)
+        with pytest.raises(SizeGuardError):
+            best_ratio_search(3, "agent", F(1, 10 ** 12))
 
 
 class TestCoveringTest:
