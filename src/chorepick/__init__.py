@@ -8,8 +8,8 @@ tests for equal entitlements, envy-cycle allocation, and label-stage envy
 audits.
 """
 
-from .model import (Allocation, ChoreInstance, InstanceError, PickingOrder,
-                    PickingSequence, SizeGuardError, equal_entitlements,
+from .model import (Allocation, ChoreInstance, InstanceError, InvariantError,
+                    PickingOrder, PickingSequence, SizeGuardError, equal_entitlements,
                     load_instance, parse_rational, save_instance, to_ido,
                     to_order, to_sequence)
 from .shares import (aps_oracle, chore_share, mms_oracle, proportional_share,

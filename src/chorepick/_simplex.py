@@ -1,8 +1,11 @@
-"""Exact linear programming over rationals.
+"""Exact packing LPs over rationals.
 
-Dense two-phase tableau simplex with Bland's rule, so every pivot is exact
-and termination is guaranteed. Sized for the small feasibility systems this
-package produces (a few dozen rows); nothing is tuned beyond that.
+Dense one-phase tableau simplex for max c.x s.t. A x <= b, x >= 0 with
+b >= 0. The all-slack basis is then feasible, so no phase 1 is needed.
+Each iteration prices the columns against the basis costs; Bland's rule
+(lowest improving column; ties in the ratio test go to the lowest basic
+index) guarantees termination, and every pivot is exact. Sized for the
+small systems this package produces (a few dozen rows).
 """
 
 from __future__ import annotations
@@ -14,100 +17,53 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class LpInfeasible(Exception):
-    pass
-
-
 class LpUnbounded(Exception):
     pass
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    prow = tableau[row]
-    for r, trow in enumerate(tableau):
-        if r == row:
-            continue
-        f = trow[col]
-        if f:
-            tableau[r] = [a - f * b for a, b in zip(trow, prow)]
-    basis[row] = col
+def maximize(objective: Sequence[Fraction],
+             a_ub: Sequence[Sequence[Fraction]],
+             b_ub: Sequence[Fraction]):
+    """Maximize objective.x subject to a_ub x <= b_ub, x >= 0, for b_ub >= 0.
 
+    Returns (value, x) with exact Fractions. Raises ValueError on a negative
+    right-hand side and LpUnbounded when the objective has no maximum.
 
-def _run(tableau, basis, cost, allowed):
-    """Maximize cost over the tableau; Bland's rule (first improving column,
-    lowest-index basic leaver) prevents cycling."""
-    nrows = len(tableau)
+    >>> maximize([3, 2], [[1, 1], [1, 0]], [4, 2])
+    (Fraction(10, 1), [Fraction(2, 1), Fraction(2, 1)])
+    """
+    nvar, nrows = len(objective), len(a_ub)
+    if any(rhs < 0 for rhs in b_ub):
+        raise ValueError("right-hand sides must be nonnegative")
+    # Rows [A | I | b]: b >= 0 makes the all-slack basis feasible.
+    tableau = [[Fraction(v) for v in row] + [ONE if k == r else ZERO for k in range(nrows)]
+               + [Fraction(rhs)] for r, (row, rhs) in enumerate(zip(a_ub, b_ub))]
+    cost = [Fraction(c) for c in objective] + [ZERO] * nrows
+    basis = list(range(nvar, nvar + nrows))
     while True:
-        cb = [cost[basis[r]] for r in range(nrows)]
-        entering = -1
-        for j in allowed:
-            red = cost[j] - sum(cb[r] * tableau[r][j] for r in range(nrows))
-            if red > 0:
-                entering = j
-                break
-        if entering < 0:
-            return
-        leaving, best = -1, None
+        cb = [cost[j] for j in basis]  # reduced cost of column j: cost[j] - cb . column j
+        col = next((j for j in range(nvar + nrows)
+                    if cost[j] > sum(c * row[j] for c, row in zip(cb, tableau))), None)
+        if col is None:
+            break
+        row, best = None, None
         for r in range(nrows):
-            coef = tableau[r][entering]
+            coef = tableau[r][col]
             if coef > 0:
                 ratio = tableau[r][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best, leaving = ratio, r
-        if leaving < 0:
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
+                    row, best = r, ratio
+        if row is None:
             raise LpUnbounded
-        _pivot(tableau, basis, leaving, entering)
-
-
-def maximize(objective: Sequence[Fraction],
-             a_ub: Sequence[Sequence[Fraction]] = (),
-             b_ub: Sequence[Fraction] = (),
-             a_eq: Sequence[Sequence[Fraction]] = (),
-             b_eq: Sequence[Fraction] = ()):
-    """Maximize objective.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
-
-    Returns (value, x) with exact Fractions. Raises LpInfeasible or
-    LpUnbounded when the program has no optimum.
-    """
-    nvar = len(objective)
-    rows = [list(map(Fraction, row)) + [Fraction(rhs)] for row, rhs in zip(a_ub, b_ub)]
-    slacks = len(rows)
-    for k, row in enumerate(rows):
-        row[-1:-1] = [ONE if j == k else ZERO for j in range(slacks)]
-    for row, rhs in zip(a_eq, b_eq):
-        rows.append(list(map(Fraction, row)) + [ZERO] * slacks + [Fraction(rhs)])
-    nrows = len(rows)
-    # Normalize right-hand sides, then add one artificial per row.
-    for r in range(nrows):
-        if rows[r][-1] < 0:
-            rows[r] = [-v for v in rows[r]]
-    width = nvar + slacks
-    tableau = []
-    for r in range(nrows):
-        art = [ONE if j == r else ZERO for j in range(nrows)]
-        tableau.append(rows[r][:width] + art + [rows[r][-1]])
-    basis = [width + r for r in range(nrows)]
-
-    phase1 = [ZERO] * width + [-ONE] * nrows + [ZERO]
-    _run(tableau, basis, phase1, range(width + nrows))
-    if any(tableau[r][-1] != 0 and basis[r] >= width for r in range(nrows)):
-        raise LpInfeasible
-    # Drive leftover (degenerate) artificials out of the basis.
-    for r in range(nrows):
-        if basis[r] >= width:
-            col = next((j for j in range(width) if tableau[r][j] != 0), None)
-            if col is not None:
-                _pivot(tableau, basis, r, col)
-
-    phase2 = list(map(Fraction, objective)) + [ZERO] * (slacks + nrows) + [ZERO]
-    live = [j for j in range(width) if not any(basis[r] >= width and tableau[r][j] for r in range(nrows))]
-    _run(tableau, basis, phase2, live)
-
+        piv = tableau[row][col]
+        prow = tableau[row] = [v / piv for v in tableau[row]]
+        for r, trow in enumerate(tableau):
+            f = trow[col]
+            if r != row and f:
+                tableau[r] = [a - f * p for a, p in zip(trow, prow)]
+        basis[row] = col
     x = [ZERO] * nvar
-    for r in range(nrows):
-        if basis[r] < nvar:
-            x[basis[r]] = tableau[r][-1]
-    value = sum(c * v for c, v in zip(objective, x))
-    return value, x
+    for r, j in enumerate(basis):
+        if j < nvar:
+            x[j] = tableau[r][-1]
+    return sum((c * v for c, v in zip(cost, x)), ZERO), x

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements, to_ido,
-                    to_sequence)
+from .model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements, invariant,
+                    to_ido, to_sequence)
 from .simulate import greedy_play
 
 ZERO = Fraction(0)
@@ -82,10 +82,11 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
     grand = [sum(row, ZERO) for row in costs]
     for r in range(1, m + 1):
         recipient = _envy_free_agent(held)
-        assert recipient is not None, "round must start with an envy-free agent"
+        invariant(recipient is not None, "round must start with an envy-free agent")
         # An envy-free agent holds at most the average bundle, hence at most
         # her proportional share.
-        assert held[recipient][recipient] * n <= grand[recipient]
+        invariant(held[recipient][recipient] * n <= grand[recipient],
+                  "an envy-free agent must hold at most her proportional share")
         bundles[recipient].add(r)
         for i in range(n):
             held[i][recipient] += costs[i][r - 1]
@@ -100,10 +101,10 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
                 moved = [row[j] for j in source]
                 for agent, item in zip(cycle, moved):
                     row[agent] = item
-            assert sum((held[i][i] for i in range(n)), ZERO) < before, \
-                "rotation must strictly improve"
+            invariant(sum((held[i][i] for i in range(n)), ZERO) < before,
+                      "rotation must strictly improve")
             rotations.append(tuple(a + 1 for a in cycle))
-        assert len(set().union(*bundles)) == r, "bundles must partition the chores"
+        invariant(len(set().union(*bundles)) == r, "bundles must partition the chores")
         if want_trace:
             trace.append(RoundTrace(r, recipient + 1, tuple(rotations)))
     return bundles, trace
@@ -127,7 +128,7 @@ def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
     for i in range(1, inst.n + 1):
         got = inst.bundle_cost(i, real.bundle(i))
         surr = surrogate.bundle_cost(i, bundles[i - 1])
-        assert got <= surr, "reduction must not worsen any bundle"
+        invariant(got <= surr, "reduction must not worsen any bundle")
 
     return AlgChoresResult(
         allocation=real,

@@ -13,9 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import algchores, entitle, fairness, ridge, shares, simulate
-from .model import (ChoreInstance, InstanceError, PickingOrder, PickingSequence,
-                    SizeGuardError, equal_entitlements, load_instance,
-                    parse_rational, to_sequence)
+from .model import (ChoreInstance, InstanceError, InvariantError, PickingOrder,
+                    PickingSequence, SizeGuardError, equal_entitlements, guard_cells,
+                    load_instance, parse_rational, to_sequence)
 
 SCHEMA_VERSION = 1
 
@@ -24,7 +24,7 @@ EXIT_USAGE = 2          # argparse's own convention
 EXIT_FILE = 3
 EXIT_INVALID = 4
 EXIT_GUARD = 5
-EXIT_GUARANTEE = 6
+EXIT_GUARANTEE = 6      # also an InvariantError: a construction broke its own guarantee
 
 
 def _encode(value):
@@ -79,6 +79,10 @@ def _allocation(inst: ChoreInstance, alloc) -> dict:
 
 
 def _cmd_gen(args) -> dict:
+    n = args.n
+    # Chore counts: --m for random, (n-2)n+1 for tension, 2n+1 for tight and gap.
+    guard_cells(n, {"random": args.m, "tension": (n - 2) * n + 1}.get(args.kind, 2 * n + 1),
+                "the instance")
     if args.kind == "random":
         if args.m < 0:
             raise InstanceError(f"chore count must be nonnegative, got m = {args.m}")
@@ -86,14 +90,13 @@ def _cmd_gen(args) -> dict:
         rows = tuple(
             tuple(sorted((Fraction(rng.randint(0, args.max_cost)) for _ in range(args.m)),
                          reverse=True))
-            for _ in range(args.n))
-        inst = ChoreInstance(equal_entitlements(args.n), rows)
+            for _ in range(n))
+        inst = ChoreInstance(equal_entitlements(n), rows)
     elif args.kind == "tight":
-        inst = algchores.tight_example(args.n)
+        inst = algchores.tight_example(n)
     elif args.kind == "tension":
-        inst = fairness.tension_instance(fairness.envy_tension_example(args.n))
+        inst = fairness.tension_instance(fairness.envy_tension_example(n))
     else:  # gap
-        n = args.n
         row = tuple(Fraction(n, 2 * n + 1) for _ in range(2 * n + 1))
         inst = ChoreInstance(equal_entitlements(n), tuple([row] * n))
     return {"instance": inst.to_dict()}
@@ -154,6 +157,7 @@ def _cmd_evaluate(args) -> dict:
         n = max(agents)
     elif n < 1:
         raise InstanceError(f"agent count must be positive, got n = {n}")
+    guard_cells(n, args.m, "the evaluation")
     result = simulate.evaluate_order(order, n, args.m)
     return {
         "ratio": result.ratio,
@@ -324,6 +328,9 @@ def main(argv=None) -> int:
     except (InstanceError, ValueError, ridge.CoveringViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except InvariantError as exc:
+        print(f"error: invariant broken: {exc}", file=sys.stderr)
+        return EXIT_GUARANTEE
     _emit(payload)
     if args.command == "verify" and not payload["ok"]:
         return EXIT_GUARANTEE

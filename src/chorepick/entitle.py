@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .model import PickingOrder, to_sequence
+from .model import PickingOrder, guard_cells, invariant, to_sequence
 from .ridge import bisect_root
 from .shares import chore_share
 from .simulate import greedy_play, worst_case_bundle
@@ -137,7 +137,7 @@ def _trim_target(scaled_shares: list[Fraction]) -> list[Fraction]:
     still cover 1, then dock the top holding by the leftover excess."""
     target = list(scaled_shares)
     total = sum(target, ZERO)
-    assert total >= 1, "scaling family must not shrink total mass below 1"
+    invariant(total >= 1, "scaling family must not shrink total mass below 1")
     while True:
         positive = [(g, i) for i, g in enumerate(target) if g > 0]
         g_min, i_min = min(positive)
@@ -204,6 +204,7 @@ def build_fractional(entitlements: Sequence[Fraction],
 
     need = math.ceil(1 / b[0])
     cols = max(m, n, need)
+    guard_cells(n, cols, "the fractional allocation")
 
     proportional = [[b[i]] * cols for i in range(n)]
 
@@ -217,7 +218,7 @@ def build_fractional(entitlements: Sequence[Fraction],
             giveup[i][j] -= take
             remaining -= take
             j += 1
-        assert j == math.ceil(1 / b[i])
+        invariant(j == math.ceil(1 / b[i]), "a unit release must touch ceil(1/b) chores")
     for i in range(n):
         giveup[i][i] += ONE
 
@@ -232,7 +233,7 @@ def build_fractional(entitlements: Sequence[Fraction],
         for i in range(n - 1, -1, -1):
             movable = rebalanced[i][j] - (ONE if i == j else ZERO)
             while movable > 0:
-                assert d_col is not None, "total surplus must equal total deficit"
+                invariant(d_col is not None, "total surplus must equal total deficit")
                 step = min(movable, d_gap)
                 rebalanced[i][j] -= step
                 rebalanced[i][d_col] += step
@@ -240,7 +241,7 @@ def build_fractional(entitlements: Sequence[Fraction],
                 d_gap -= step
                 if d_gap == 0:
                     d_col, d_gap = next(d_iter, (None, ZERO))
-    assert all(s == 1 for s in _column_sums(rebalanced))
+    invariant(all(s == 1 for s in _column_sums(rebalanced)), "rebalanced columns must sum to 1")
     # Suffix domination on the formerly-deficit range: late agents jointly
     # hold at least their proportional mass there, which step 4 relies on.
     for j in range(n, min(need, cols)):
@@ -249,7 +250,7 @@ def build_fractional(entitlements: Sequence[Fraction],
         for i in range(n - 1, -1, -1):
             suffix += rebalanced[i][j]
             suffix_prop += b[i]
-            assert suffix >= suffix_prop, "suffix domination violated after rebalance"
+            invariant(suffix >= suffix_prop, "suffix domination violated after rebalance")
 
     factors = [scaling(prefix_mass[i]) for i in range(n)]
     scaled = [row[:] for row in rebalanced]
@@ -257,8 +258,8 @@ def build_fractional(entitlements: Sequence[Fraction],
         for j in range(n, cols):
             scaled[i][j] = factors[i] * rebalanced[i][j]
     scaled_sums = _column_sums(scaled)
-    assert all(s == 1 for s in scaled_sums[:n])
-    assert all(s >= 1 for s in scaled_sums[n:]), "scaling must not starve a column"
+    invariant(all(s == 1 for s in scaled_sums[:n]), "scaling must leave the heads whole")
+    invariant(all(s >= 1 for s in scaled_sums[n:]), "scaling must not starve a column")
 
     target = _trim_target([factors[i] * b[i] for i in range(n)])
     final_rows = [row[:] for row in scaled]
@@ -275,10 +276,10 @@ def build_fractional(entitlements: Sequence[Fraction],
                 step = min(room, gap)
                 kept[i] += step
                 gap -= step
-        assert gap == 0
+        invariant(gap == 0, "trimming must refill its column to 1")
         for i in range(n):
             final_rows[i][j] = kept[i]
-    assert all(s == 1 for s in _column_sums(final_rows))
+    invariant(all(s == 1 for s in _column_sums(final_rows)), "final columns must sum to 1")
 
     firsts = [_first_fractional(row) for row in final_rows]
     sentinel = any(f is None and 0 < b[i] < 1 for i, f in enumerate(firsts))
@@ -288,8 +289,8 @@ def build_fractional(entitlements: Sequence[Fraction],
         firsts = [_first_fractional(row) for row in final_rows]
     for i in range(n):
         floor_slot = max(n, math.floor(1 / b[i]))
-        assert firsts[i] is None or firsts[i] > floor_slot, \
-            f"agent {i + 1} holds a fraction at column {firsts[i]}, within her danger zone"
+        invariant(firsts[i] is None or firsts[i] > floor_slot,
+                  f"agent {i + 1} holds a fraction at column {firsts[i]}, within her danger zone")
 
     final = FractionalAllocation(
         shares=tuple(tuple(row) for row in final_rows),
@@ -331,7 +332,7 @@ def round_to_order(alloc: FractionalAllocation,
         for i in range(n):
             cumulative[i] += alloc.shares[i][t - 1]
         chosen = next((i for i in priority if cumulative[i] > received[i]), None)
-        assert chosen is not None, "illegal fractional allocation: no eligible agent"
+        invariant(chosen is not None, "illegal fractional allocation: no eligible agent")
         received[chosen] += 1
         picks.append(chosen + 1)
     return PickingOrder(prefix=tuple(picks))
@@ -353,15 +354,15 @@ class GuaranteeReport:
 
 
 def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
-                     seed: int = 0, m: int = 40,
-                     t: Fraction = DEFAULT_T) -> GuaranteeReport:
+                     seed: int = 0, m: int = 40) -> GuaranteeReport:
     """Build the order for the entitlements alone, then stress it.
 
     Two checks per agent: the exact adversarial worst case of her realized
     round set (the LP of `worst_case_bundle` with cap floor(1/b) and budget
     1/b, i.e. costs normalized to chore share = proportional share = 1), and
     seeded random common-order cost rows played greedily and compared to the
-    exact chore share. Both must stay within 1 + t/2.
+    exact chore share. Both must stay within the production scaling's
+    guaranteed ratio 1 + t/2.
     """
     if m < 1:
         raise ValueError(f"need at least one chore, got m = {m}")
@@ -369,8 +370,9 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
         raise ValueError(f"trial count must be nonnegative, got trials = {trials}")
     b = [Fraction(x) for x in entitlements]
     n = len(b)
-    bound = 1 + Fraction(t) / 2
-    pipeline = build_fractional(b, ScalingFunction(Fraction(t)), m)
+    scaling = ScalingFunction()
+    bound = scaling.guaranteed_ratio
+    pipeline = build_fractional(b, scaling, m)
     order = pipeline.order()
     found = order.positions(m)
     positions = {i: found.get(i, ()) for i in range(1, n + 1)}

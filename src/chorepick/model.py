@@ -34,6 +34,26 @@ class SizeGuardError(RuntimeError):
     """An exhaustive oracle was asked to run beyond its default size guard."""
 
 
+#: Largest agents-by-chores table the CLI builds: larger requests get a
+#: SizeGuardError before anything is allocated.
+CELL_LIMIT = 1 << 24
+
+
+def guard_cells(n: int, m: int, what: str) -> None:
+    if n > 0 and m > 0 and n * m > CELL_LIMIT:
+        raise SizeGuardError(f"{what}: {n} x {m} cells exceed the guard of {CELL_LIMIT}")
+
+
+class InvariantError(RuntimeError):
+    """A construction broke one of its own invariants: a bug, not bad input."""
+
+
+def invariant(holds: bool, message: str) -> None:
+    """Raise InvariantError unless ``holds``; unlike assert, it survives -O."""
+    if not holds:
+        raise InvariantError(message)
+
+
 def parse_rational(value) -> Fraction:
     """Parse "p/q", a decimal string, or an int into an exact Fraction."""
     if isinstance(value, bool):

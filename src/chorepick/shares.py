@@ -10,7 +10,8 @@ Three per-agent benchmarks, all in exact rational arithmetic:
 - anyprice share      APS = the largest disvalue z such that some price
   vector p >= 0 with sum 1 keeps every bundle cheaper than z strictly under
   the budget b. The agent can then always be forced to spend her budget on a
-  bundle of disvalue at least z, and never worse.
+  bundle of disvalue at least z, and never worse. Each candidate z is one
+  exact packing LP over per-class prices.
 
 For chores the chain MMS >= APS >= CS holds, with each inequality sometimes
 strict; CS is the cheap analysis proxy, and the two oracles here exist to
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._simplex import LpInfeasible, LpUnbounded, maximize
+from ._simplex import LpUnbounded, maximize
 from .model import ChoreInstance, SizeGuardError
 
 ZERO = Fraction(0)
@@ -133,9 +134,9 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -
       price vector over the permutations that fix the cost multiset stays
       feasible), so bundles collapse to count-per-cost-class patterns;
     - only inclusion-maximal cheap patterns constrain the prices, and strict
-      feasibility means the slack LP max { d : price(pattern) <= b - d } has
-      a positive optimum. The LP is solved in its dual form, whose row count
-      is the number of cost classes rather than the number of patterns.
+      feasibility is the packing LP max { sizes.u : pattern.u <= 1, u >= 0 }
+      over per-item class prices u exceeding 1/b. Its all-slack basis is
+      feasible, so one simplex phase decides it.
     """
     b = _check_entitlement(b)
     row = [Fraction(c) for c in costs]
@@ -162,25 +163,14 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -
         rows = [t for t, cost in patterns
                 if cost < z and not any(t[g] < sizes[g] and cost + values[g] < z
                                         for g in range(ngroups))]
-        if not rows:
-            return True
-        # Dual of max{d : t.p + d <= b for all rows, sizes.p = 1, p >= 0}:
-        #   min b + mu  s.t.  sum_r y_r = 1,  sum_r t_rg y_r + k_g mu >= 0, y >= 0.
-        # With mu = mu+ - mu- the optimum slack is d* = b - max(mu- - mu+).
-        nr = len(rows)
-        objective = [ZERO] * nr + [Fraction(-1), Fraction(1)]
-        a_ub = []
-        for g in range(ngroups):
-            coeffs = [Fraction(-rows[r][g]) for r in range(nr)]
-            coeffs += [Fraction(-sizes[g]), Fraction(sizes[g])]
-            a_ub.append(coeffs)
-        b_ub = [ZERO] * ngroups
-        a_eq = [[Fraction(1)] * nr + [ZERO, ZERO]]
+        # Class prices u >= 0 with every row priced at most 1 scale to a price
+        # vector p = u / sizes.u whose dearest row costs 1 / sizes.u, so z is
+        # feasible iff max sizes.u exceeds 1/b (or is unbounded).
         try:
-            value, _ = maximize(objective, a_ub, b_ub, a_eq, [Fraction(1)])
-        except (LpInfeasible, LpUnbounded) as exc:  # pragma: no cover
-            raise RuntimeError("anyprice dual must have an optimum") from exc
-        return value < b
+            value, _ = maximize(sizes, rows, [1] * len(rows))
+        except LpUnbounded:
+            return True
+        return value * b > 1
 
     lo, hi = 0, len(candidates) - 1  # candidates[0] == 0 is always feasible
     while lo < hi:

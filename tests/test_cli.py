@@ -1,12 +1,13 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chorepick.cli import (EXIT_FILE, EXIT_GUARD, EXIT_INVALID, EXIT_OK, main)
+from chorepick.cli import (EXIT_FILE, EXIT_GUARANTEE, EXIT_GUARD, EXIT_INVALID, EXIT_OK, main)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -215,11 +216,30 @@ class TestErrorExits:
         ("ratio-test", "--n", "3", "--rho", "1000000000000000"),
         ("build", "--mode", "equal", "--n", "3", "--rho", "1000000000000000", "--m", "10"),
         ("search", "--n", "3", "--tol", "1e-12"),
-    ], ids=["ratio-test-horizon", "ratio-test-huge-rho", "build-huge-rho", "search-tiny-tol"])
+        # Tables of more than 2^24 agent-by-chore cells, refused before allocation.
+        ("evaluate", "--order", "n2", "--m", "100000000"),
+        ("build", "--entitlements", "1/100000000,99999999/100000000", "--m", "4"),
+        ("verify", "--entitlements", "1/100000000,99999999/100000000", "--m", "4"),
+        ("gen", "--kind", "tight", "--n", "100000"),
+    ], ids=["ratio-test-horizon", "ratio-test-huge-rho", "build-huge-rho", "search-tiny-tol",
+            "evaluate-huge-m", "build-tiny-entitlement", "verify-tiny-entitlement",
+            "gen-tight-huge-n"])
     def test_scan_size_guard(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_GUARD
         assert out == "" and "guard" in err and err.count("\n") == 1
+
+    def test_invariant_survives_optimize_flag(self, run_python):
+        # A helper that reports a fraction in column 1 breaks the danger-zone
+        # invariant of build_fractional; under -O an assert would not notice.
+        script = ("import sys\n"
+                  "from chorepick import cli, entitle\n"
+                  "entitle._first_fractional = lambda row: 1\n"
+                  "sys.exit(cli.main(['build', '--entitlements', '1/2,1/2', '--m', '4']))\n")
+        done = run_python("-O", "-c", script)
+        assert done.returncode == EXIT_GUARANTEE, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: invariant broken:") and "danger zone" in done.stderr
 
 
 class TestDeterminism:
@@ -309,3 +329,20 @@ def test_argv_fuzz_ends_in_a_documented_exit(argv):
         json.loads(out.getvalue())
     else:
         assert out.getvalue() == ""
+
+
+def test_imports_only_the_standard_library(run_python):
+    # Pins dependencies = []: importing the CLI pulls in nothing outside the
+    # package and the standard library. Modules loaded before the import
+    # (site hooks of the environment) do not count.
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import chorepick.cli\n"
+              "print(json.dumps(sorted({name.partition('.')[0]\n"
+              "                         for name in set(sys.modules) - before})))\n")
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    added = json.loads(done.stdout)
+    assert "chorepick" in added
+    assert [name for name in added
+            if name != "chorepick" and name not in sys.stdlib_module_names] == []

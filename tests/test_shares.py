@@ -1,4 +1,5 @@
 import itertools
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,26 @@ from chorepick import shares
 from chorepick.model import ChoreInstance, SizeGuardError
 from chorepick.shares import (ShareReport, aps_oracle, chore_share, mms_oracle,
                               proportional_share, share_report)
-from chorepick._simplex import LpInfeasible, LpUnbounded, maximize
+from chorepick._simplex import LpUnbounded, maximize
+
+import lp_reference as reference
+
+# Small entries with repeats and zeros, so ties in the ratio test, degenerate
+# pivots, zero rows and unbounded columns all come up often.
+LP_ENTRY = st.sampled_from([F(-2), F(-1), F(0), F(0), F(0), F(1, 2), F(1), F(1), F(2), F(3, 2)])
+
+
+@st.composite
+def packing_lps(draw):
+    nvar, nrows = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    vector = st.lists(LP_ENTRY, min_size=nvar, max_size=nvar)
+    objective = draw(vector)
+    a_ub = [draw(vector) for _ in range(nrows)]
+    if nrows and draw(st.booleans()):
+        a_ub[draw(st.integers(0, nrows - 1))] = [F(0)] * nvar
+    b_ub = draw(st.lists(st.sampled_from([F(0), F(0), F(1, 3), F(1), F(2)]),
+                         min_size=nrows, max_size=nrows))
+    return objective, a_ub, b_ub
 
 
 class TestSimplex:
@@ -16,12 +36,8 @@ class TestSimplex:
         value, x = maximize([F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)])
         assert value == 10 and x == [F(2), F(2)]
 
-    def test_equality_constraint(self):
-        value, x = maximize([F(1), F(0)], a_eq=[[F(1), F(1)]], b_eq=[F(1)])
-        assert value == 1 and x == [F(1), F(0)]
-
-    def test_infeasible(self):
-        with pytest.raises(LpInfeasible):
+    def test_negative_right_hand_side(self):
+        with pytest.raises(ValueError):
             maximize([F(1)], [[F(1)], [F(-1)]], [F(1), F(-2)])
 
     def test_unbounded(self):
@@ -37,6 +53,57 @@ class TestSimplex:
              [F(0), F(0), F(1), F(0)]],
             [F(0), F(0), F(1)])
         assert value == F(1, 20)
+
+    def test_ratio_ties_go_to_the_lowest_basic_index(self, run_python):
+        # Two degenerate systems (b = 0) on which the lowest-column rule cycles
+        # when ratio-test ties go to the first row (the first system is
+        # unbounded) or to the highest basic index (the second has optimum 0).
+        # They run in their own process, so a cycle fails by timeout, not by
+        # hanging the suite.
+        code = textwrap.dedent("""
+            from fractions import Fraction as F
+            from chorepick._simplex import LpUnbounded, maximize
+            h = F(1, 2)
+            try:
+                maximize([0, 0, h, h, 0, 2, -2],
+                         [[0, -3, h, 3, -3, h, h], [3, -3, 2, 2, 2, 0, -3],
+                          [-1, -1, -h, 3, -3, 3, -1], [h, -h, 1, -2, 0, 0, 3]], [0] * 4)
+            except LpUnbounded:
+                print("unbounded")
+            print(maximize([-3, 2, 2, 3], [[3, 1, h, 0], [h, -h, 1, h], [1, -3, -1, -2]],
+                           [0] * 3)[0])
+        """)
+        done = run_python("-c", code, timeout=30)
+        assert done.returncode == 0 and done.stdout == "unbounded\n0\n", done.stderr
+
+    @settings(max_examples=300, deadline=None)
+    @given(packing_lps())
+    def test_matches_two_phase_reference(self, lp):
+        objective, a_ub, b_ub = lp
+        try:
+            expected, _ = reference.maximize(objective, a_ub, b_ub)
+        except reference.LpUnbounded:
+            with pytest.raises(LpUnbounded):
+                maximize(objective, a_ub, b_ub)
+            return
+        value, x = maximize(objective, a_ub, b_ub)
+        assert value == expected
+        assert sum(c * v for c, v in zip(objective, x)) == value
+        assert all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) <= rhs for row, rhs in zip(a_ub, b_ub))
+
+
+class TestReferenceSimplex:
+    """The two-phase reference solver's own cases: equality rows and
+    infeasible systems, which the packing solver does not accept."""
+
+    def test_equality_constraint(self):
+        value, x = reference.maximize([F(1), F(0)], a_eq=[[F(1), F(1)]], b_eq=[F(1)])
+        assert value == 1 and x == [F(1), F(0)]
+
+    def test_infeasible(self):
+        with pytest.raises(reference.LpInfeasible):
+            reference.maximize([F(1)], [[F(1)], [F(-1)]], [F(1), F(-2)])
 
 
 class TestChoreShare:
@@ -109,6 +176,53 @@ class TestApsOracle:
     def test_unequal_budget(self):
         # Budget 2/3 forces spending on two of the three unit chores.
         assert aps_oracle([1, 1, 1], F(2, 3)) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([F(0), F(1), F(1), F(2), F(3)]),
+                              st.fractions(0, 3, max_denominator=4)),
+                    min_size=1, max_size=10),
+           st.one_of(st.integers(1, 6).map(lambda n: F(1, n)),
+                     st.fractions(F(1, 12), 1, max_denominator=12)))
+    def test_matches_the_dual_on_the_reference_solver(self, row, b):
+        # Tied costs come from the sampled values, zeros from both strategies.
+        assert aps_oracle(row, b) == _reference_aps(row, b)
+
+
+def _reference_aps(costs, b):
+    """The anyprice share by the earlier dual: per candidate z, solve
+    min b + mu s.t. sum_r y_r = 1, sum_r t_rg y_r + k_g mu >= 0, y >= 0 (mu
+    free, split in two) on the two-phase reference solver; z is feasible iff
+    the optimum stays below b."""
+    classes = {}
+    for c in costs:
+        classes[F(c)] = classes.get(F(c), 0) + 1
+    values = sorted(classes, reverse=True)
+    sizes = [classes[v] for v in values]
+    ngroups = len(values)
+    patterns = [(t, sum((v * k for v, k in zip(values, t)), F(0)))
+                for t in itertools.product(*(range(k + 1) for k in sizes))]
+    candidates = sorted({cost for _, cost in patterns})
+
+    def feasible(z):
+        rows = [t for t, cost in patterns
+                if cost < z and not any(t[g] < sizes[g] and cost + values[g] < z
+                                        for g in range(ngroups))]
+        nr = len(rows)
+        objective = [F(0)] * nr + [F(-1), F(1)]
+        a_ub = [[F(-rows[r][g]) for r in range(nr)] + [F(-sizes[g]), F(sizes[g])]
+                for g in range(ngroups)]
+        value, _ = reference.maximize(objective, a_ub, [F(0)] * ngroups,
+                                      [[F(1)] * nr + [F(0), F(0)]], [F(1)])
+        return value < b
+
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if feasible(candidates[mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return candidates[lo]
 
 
 def _identical_rows(max_m, max_cost):

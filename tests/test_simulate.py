@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chorepick._simplex import maximize
 from chorepick.model import ChoreInstance, PickingOrder, PickingSequence, to_sequence
 from chorepick.shares import chore_share, mms_oracle
 from chorepick.simulate import (WorstCase, evaluate_order, greedy_play,
                                 guaranteed_disvalue, nonridge_witness,
                                 worst_case_bundle, worst_case_ratio_cs)
+
+from lp_reference import maximize
 
 
 def make(ents, costs):
