@@ -189,12 +189,10 @@ def _cmd_algchores(args) -> dict:
     if args.trace:
         out["rounds"] = [dataclasses.asdict(r) for r in result.trace]
     if args.with_aps:
-        ratios = {}
-        for i in range(1, inst.n + 1):
-            aps = shares.aps_oracle(inst.row(i), inst.entitlements[i - 1], force=args.force)
-            held = out["bundle_costs"][str(i)]
-            ratios[str(i)] = {"anyprice": aps, "ratio": held / aps if aps else None}
-        out["anyprice_ratios"] = ratios
+        anyprice = shares.share_report(inst, with_mms=False, force=args.force).anyprice
+        out["anyprice_ratios"] = {
+            str(i): {"anyprice": aps, "ratio": out["bundle_costs"][str(i)] / aps if aps else None}
+            for i, aps in enumerate(anyprice, start=1)}
     return out
 
 
@@ -324,6 +322,9 @@ def main(argv=None) -> int:
         return EXIT_FILE
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("error: out of memory: the input is too large for this process", file=sys.stderr)
         return EXIT_GUARD
     except (InstanceError, ValueError, ridge.CoveringViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)

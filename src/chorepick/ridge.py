@@ -10,6 +10,10 @@ come in three flavors, keyed to where the agent sits:
 - after the first chore (class 1): i, i+ceil(p), i+ceil(2p), ...  (early)
 - after the ridge pair (class 2): i, 2n-i+1, 2n-i+1+ceil(p), ...  (late)
 
+One rule states all three: agent i of class c has base (0, i, 2n+1-i)[c],
+and its t-th threshold is base + ceil((t-c)p), except that a class-2
+agent's first threshold is i itself.
+
 Periods are the largest pick rates compatible with a target ratio rho
 against the chore share: n/rho for class 0, (n-i)/(rho-1) for class 1 and
 (i-1)/(2(rho-1)) for class 2. "Super" mode prices each agent as a block
@@ -25,18 +29,17 @@ reported as inconclusive.
 
 Schedules and thresholds are integer-exact. With rho = a/c, every class is
 decided by an integer cross-multiplication, and every period is kept as the
-integer pair (num, den) it is computed as; the t-th step of a period lands
-on base + ceil(t*num/den), computed by integer division. The Fractions of
+integer pair (num, den) it is computed as; step k of a period lands on
+base + ceil(k*num/den), computed by integer division. The Fractions of
 ``ThresholdSchedule.periods`` are built only when first read.
 
-The covering scan counts in one pass over the agents: each head entry and
-each period step is added straight into one count array indexed by round,
-and the class-0 agents, who share the period n/rho and have no head, are
-stepped once with their number as the weight. The array is the only
-structure whose size grows with the scan. Every period is at least n/rho,
-so a scan to round K counts at most 2n + K*rho thresholds; a scan with
-K*rho above ``SCAN_LIMIT`` is refused with a ``SizeGuardError`` before
-anything is allocated.
+The covering scan counts in one pass over the agents: each threshold is
+added straight into one count array indexed by round, and the class-0
+agents, who share base 0 and the period n/rho, are stepped once with their
+number as the weight. The array is the only structure whose size grows
+with the scan. Every period is at least n/rho, so a scan to round K counts
+at most 2n + K*rho thresholds; a scan with K*rho above ``SCAN_LIMIT`` is
+refused with a ``SizeGuardError`` before anything is allocated.
 
 The verdict rests on integers alone. ``certified_cutoff`` returns an
 integer lower bound R on RATE_SCALE * r, off by less than n: R > RATE_SCALE
@@ -84,50 +87,64 @@ class ThresholdSchedule:
     """Per-agent class, exact period, and generated release thresholds.
 
     Agent i's period is period_pairs[i-1] = (num, den), the value num/den,
-    not necessarily in lowest terms."""
+    not necessarily in lowest terms. One rule gives every threshold: agent i
+    of class c has base (0, i, 2n+1-i)[c], and its t-th threshold is step
+    t-c, base + ceil((t-c)*num/den), except that a class-2 agent's first
+    threshold is i itself."""
 
     n: int
     rho: Fraction
     mode: str
     classes: tuple[int, ...]
     period_pairs: tuple[tuple[int, int], ...]
-    ridge_violations: tuple[int, ...]
 
     @cached_property
     def periods(self) -> tuple[Fraction, ...]:
         """The periods as Fractions, built on first read."""
         return tuple(Fraction(num, den) for num, den in self.period_pairs)
 
+    @cached_property
+    def bases(self) -> tuple[int, ...]:
+        """Each agent's base (0, i, 2n+1-i)[c], built on first read."""
+        last = 2 * self.n + 1
+        return tuple([c and (i if c == 1 else last - i)
+                      for i, c in zip(range(1, self.n + 1), self.classes)])
+
+    @cached_property
+    def ridge_violations(self) -> tuple[int, ...]:
+        """Agents whose thresholds 1 and 2 pass ridge rounds i and 2n+1-i, found
+        on first read; a class-c agent's first c thresholds are those rounds."""
+        nth, last = self._nth, 2 * self.n + 1
+        return tuple(i for i, cls, base, (num, den) in zip(range(1, self.n + 1), self.classes,
+                                                             self.bases, self.period_pairs)
+                     if cls < 2 and nth(i, cls, base, num, den, 2) > last - i
+                     or cls < 1 and nth(i, cls, base, num, den, 1) > i)
+
     @property
     def ridge_ok(self) -> bool:
         return not self.ridge_violations
 
-    def _head(self, agent: int) -> tuple[int, ...]:
-        """The thresholds before the period steps: the first c of (i, 2n-i+1)
-        for class c. The steps then add ceil(k*p) to the head's last entry
-        (or to 0 when the head is empty)."""
-        return (agent, 2 * self.n - agent + 1)[:self.classes[agent - 1]]
+    @staticmethod
+    def _nth(agent: int, cls: int, base: int, num: int, den: int, t: int) -> int:
+        """The rule, for threshold t of an agent of the given class, base and period."""
+        if cls == 2 and t == 1:
+            return agent
+        return base - (-(t - cls) * num // den)
 
     def threshold(self, agent: int, t: int) -> int:
         """The t-th (1-based) release threshold of an agent."""
-        head = self._head(agent)
-        if t <= len(head):
-            return head[t - 1]
         num, den = self.period_pairs[agent - 1]
-        base = head[-1] if head else 0
-        return base - (-(t - len(head)) * num // den)
+        return self._nth(agent, self.classes[agent - 1], self.bases[agent - 1], num, den, t)
 
     def thresholds_upto(self, agent: int, horizon: int) -> list[int]:
         """All thresholds of an agent with value <= horizon, in order."""
-        head = self._head(agent)
-        base = head[-1] if head else 0
-        if base > horizon:
-            return [t for t in head if t <= horizon]
+        first = [agent] if self.classes[agent - 1] == 2 and agent <= horizon else []
+        base = self.bases[agent - 1]
         num, den = self.period_pairs[agent - 1]
-        # Step k lands on base + ceil(k*num/den), which is <= horizon iff
-        # k*num <= (horizon - base)*den.
-        return [*head, *[base - (-x // den)
-                         for x in range(num, (horizon - base) * den + 1, num)]]
+        # Step k lands on base - (-k*num // den), which is <= horizon iff
+        # k*num <= (horizon - base)*den; step 0 of a class-0 agent is round 0.
+        return [*first, *[base - (-x // den)
+                          for x in range(0 if base else num, (horizon - base) * den + 1, num)]]
 
 
 def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedule:
@@ -154,45 +171,31 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
     gap = a - c                      # rho - 1 = gap/c
     nc = n * c                       # i < n/rho  iff  i*a < nc
     mid = (nc, a)                    # the class-0 period n/rho, shared
-    # A class-0 agent's first two thresholds ceil(n/rho) and ceil(2n/rho)
-    # must not pass its ridge rounds i and 2n-i+1.
-    mid_first, mid_second = -(-nc // a), -(-2 * nc // a)
     agent_late = (2 * n + 1) * a - 2 * nc   # class 2 beyond it (agent mode)
     super_late = 2 * n * gap                # class 2 beyond it (super mode)
-    classes: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    violations: list[int] = []
+    classes, pairs = [], []
     for i in range(1, n + 1):
         ia = i * a
         if mode == "agent":
             if ia < nc:
-                cls, num, den = 1, (n - i) * c, gap
+                cls, pair = 1, ((n - i) * c, gap)
             elif ia <= agent_late:
-                cls = 0
+                cls, pair = 0, mid
             else:
-                cls, num, den = 2, (i - 1) * c, 2 * gap
+                cls, pair = 2, ((i - 1) * c, 2 * gap)
         else:
             # Block accounting: a block is early if its first member is,
             # late if its last member is; periods take the block's slowest
             # member in the limit of large blocks.
             if ia > super_late:
-                cls, num, den = 2, i * c, 2 * gap
+                cls, pair = 2, (i * c, 2 * gap)
             elif ia - a < nc:
-                cls, num, den = 1, (n - i + 1) * c, gap
+                cls, pair = 1, ((n - i + 1) * c, gap)
             else:
-                cls = 0
+                cls, pair = 0, mid
         classes.append(cls)
-        if cls == 0:
-            pairs.append(mid)
-            if mid_first > i or mid_second > 2 * n - i + 1:
-                violations.append(i)
-        else:
-            pairs.append((num, den))
-            # A class-1 agent's second threshold i + ceil(p) must not pass
-            # its second ridge round 2n-i+1.
-            if cls == 1 and i - (-num // den) > 2 * n - i + 1:
-                violations.append(i)
-    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(pairs), tuple(violations))
+        pairs.append(pair)
+    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -241,7 +244,7 @@ def certified_cutoff(sched: ThresholdSchedule,
 
     Returns (R, K*). R <= scale * r is a certified lower bound on the
     covering ratio r = sum 1/p(i), and scale * r - R < n. From round 2n on
-    every agent has passed its head (c_i entries ending at base_i), so it
+    every agent has reached its base (its c_i-th threshold, or 0), so it
     holds more than c_i - 1 + (k - base_i)/p_i thresholds <= k, and all
     agents together more than r*k - B with B = sum(1 - c_i + base_i/p_i).
     That integer count reaches k once r*k - B >= k - 1, so every round
@@ -249,22 +252,17 @@ def certified_cutoff(sched: ThresholdSchedule,
     upper bound on scale * (B-1), and is None when R <= scale, where no
     such round need exist.
     """
-    rate_low, slack_high = 0, -scale
-    last = 2 * sched.n + 1
-    zeros = 0
-    for agent, cls, (num, den) in zip(range(1, sched.n + 1), sched.classes,
-                                      sched.period_pairs):
-        if not cls:
-            zeros += 1
-            continue
-        q, rem = divmod(scale * den, num)
-        rate_low += q
-        base = agent if cls == 1 else last - agent
-        slack_high += base * (q + (rem > 0)) - scale * (cls - 1)
-    if zeros:
+    # scale * (B-1) <= scale * (n - sum(c_i) - 1) + sum(base_i * ceil(scale/p_i)).
+    # The class-0 agents add nothing to it and share one period: one rate term.
+    rate_low, slack_high = 0, scale * (sched.n - sum(sched.classes) - 1)
+    for base, (num, den) in zip(sched.bases, sched.period_pairs):
+        if base:
+            q, rem = divmod(scale * den, num)
+            rate_low += q
+            slack_high += base * (q + (rem > 0))
+    if 0 in sched.classes:
         num, den = sched.period_pairs[sched.classes.index(0)]
-        rate_low += zeros * (scale * den // num)
-        slack_high += zeros * scale
+        rate_low += sched.classes.count(0) * (scale * den // num)
     if rate_low <= scale:
         return rate_low, None
     return rate_low, max(2 * sched.n, -(-slack_high // (rate_low - scale)))
@@ -282,33 +280,23 @@ def _guard_scan(sched: ThresholdSchedule, upto: int) -> None:
 def threshold_counts(sched: ThresholdSchedule, upto: int) -> list[int]:
     """counts[k] = the number of thresholds equal to k, for k <= upto.
 
-    One pass over the agents adds every head entry and period step <= upto
-    into the array; the class-0 agents' shared steps are added once, weighted
-    by their number."""
+    One pass over the agents adds every threshold <= upto; the class-0
+    agents' shared steps are added once, weighted by their number."""
     _guard_scan(sched, upto)
     counts = [0] * (upto + 1)
-    last = 2 * sched.n + 1
-    zeros = 0
-    for agent, cls, (num, den) in zip(range(1, sched.n + 1), sched.classes,
-                                      sched.period_pairs):
+    for agent, cls, base, (num, den) in zip(range(1, sched.n + 1), sched.classes,
+                                            sched.bases, sched.period_pairs):
         if not cls:
-            zeros += 1
             continue
-        if cls == 1:
-            base = agent
-        else:
-            base = last - agent
-            if agent <= upto:
-                counts[agent] += 1
-        if base > upto:
-            continue
-        counts[base] += 1
+        if cls == 2 and agent <= upto:   # a class-2 agent's first threshold
+            counts[agent] += 1
         # Step k lands on base + ceil(k*num/den) = base - (-k*num // den),
         # which is <= upto iff k*num <= (upto - base)*den.
-        for x in range(-num, (base - upto) * den - 1, -num):
+        for x in range(0, (base - upto) * den - 1, -num):
             counts[base - x // den] += 1
-    if zeros:
+    if 0 in sched.classes:
         num, den = sched.period_pairs[sched.classes.index(0)]
+        zeros = sched.classes.count(0)
         for x in range(-num, -upto * den - 1, -num):
             counts[-(x // den)] += zeros
     return counts
@@ -529,6 +517,18 @@ def halve_thresholds(sched: ThresholdSchedule, horizon: int,
     return HalvedSchedule(half_n, tuple(folded), check_to, failing, tuple(bad_pairs))
 
 
+def _halve(lo, hi, tol, side):
+    """Halve [lo, hi] to at most tol wide; side(mid) < 0, > 0 or == 0 puts
+    the target above, below or at mid. Adjacent float ends also stop it."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s = side(mid)
+        if s == 0 or mid in (lo, hi):
+            return mid, mid
+        lo, hi = (mid, hi) if s < 0 else (lo, mid)
+    return lo, hi
+
+
 def bisect_root(f, lo: float, hi: float, tol: float) -> float:
     """Root of f on [lo, hi], where f changes sign, to within tol."""
     flo, fhi = f(lo), f(hi)
@@ -538,15 +538,7 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> float:
         return hi
     if (flo < 0) == (fhi < 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _halve(lo, hi, tol, f if flo < 0 else lambda x: -f(x))
     return (lo + hi) / 2
 
 
@@ -583,10 +575,4 @@ def best_ratio_search(n: int, mode: str = "agent",
         return lo
     if not passes(hi):
         raise ValueError(f"covering test fails even at rho = {hi}")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _halve(lo, hi, tol, lambda rho: 1 if passes(rho) else -1)[1]

@@ -93,27 +93,28 @@ def mms_oracle(costs: Sequence[Fraction], n: int, *, force: bool = False) -> Fra
         loads[loads.index(min(loads))] += it
     best = [max(loads)]
 
-    loads = [ZERO] * n
-
-    def descend(idx: int) -> None:
-        if idx == m:
-            top = max(loads)
-            if top < best[0]:
-                best[0] = top
-            return
-        item = items[idx]
-        seen = set()
-        for i in range(n):
-            load = loads[i]
-            if load in seen or load + item >= best[0]:
-                continue
-            seen.add(load)
-            loads[i] = load + item
-            descend(idx + 1)
-            loads[i] = load
-
-    descend(0)
+    _mms_descend(items, 0, [ZERO] * n, best)
     return best[0]
+
+
+def _mms_descend(items: list[Fraction], idx: int, loads: list[Fraction],
+                 best: list[Fraction]) -> None:
+    """Place items[idx:] into the bundle loads in every way that can still
+    beat best[0], lowering best[0] to each better partition's max load."""
+    if idx == len(items):
+        top = max(loads)
+        if top < best[0]:
+            best[0] = top
+        return
+    item = items[idx]
+    seen = set()
+    for i, load in enumerate(loads):
+        if load in seen or load + item >= best[0]:
+            continue
+        seen.add(load)
+        loads[i] = load + item
+        _mms_descend(items, idx + 1, loads, best)
+        loads[i] = load
 
 
 def _patterns(group_sizes: Sequence[int]):

@@ -229,6 +229,19 @@ class TestErrorExits:
         assert code == EXIT_GUARD
         assert out == "" and "guard" in err and err.count("\n") == 1
 
+    def test_out_of_memory_is_a_size_guard_exit(self, run_python):
+        # Under the 2^24-cell guard, but past a 192 MiB address space: the
+        # evaluator's MemoryError ends in exit 5 and one error line.
+        script = ("import resource, sys\n"
+                  "cap = 192 << 20\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                  "from chorepick import cli\n"
+                  "sys.exit(cli.main(['evaluate', '--order', 'n2', '--m', '8000000']))\n")
+        done = run_python("-c", script, timeout=60)
+        assert done.returncode == EXIT_GUARD, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+
     def test_invariant_survives_optimize_flag(self, run_python):
         # A helper that reports a fraction in column 1 breaks the danger-zone
         # invariant of build_fractional; under -O an assert would not notice.

@@ -48,7 +48,7 @@ def _reference_ridge_periods(n, rho, mode="agent"):
                 cls, p = 0, F(n) / rho
         classes.append(cls)
         periods.append(p)
-    sched = ThresholdSchedule(n, rho, mode, tuple(classes), _pairs(periods), ())
+    sched = ThresholdSchedule(n, rho, mode, tuple(classes), _pairs(periods))
     violations = []
     for i in range(1, n + 1):
         cls = classes[i - 1]
@@ -59,13 +59,13 @@ def _reference_ridge_periods(n, rho, mode="agent"):
             ok = sched.threshold(i, 2) <= 2 * n - i + 1
         if not ok:
             violations.append(i)
-    return ThresholdSchedule(n, rho, mode, tuple(classes), _pairs(periods), tuple(violations))
+    return _schedule_facts(sched, tuple(violations))
 
 
-def _schedule_facts(sched):
+def _schedule_facts(sched, violations=None):
     """What a schedule says, with each period as a Fraction in lowest terms."""
     return (sched.n, sched.rho, sched.mode, sched.classes, sched.periods,
-            sched.ridge_violations)
+            sched.ridge_violations if violations is None else violations)
 
 
 def _reference_thresholds_upto(sched, agent, horizon):
@@ -214,7 +214,7 @@ class TestIntegerPeriods:
     @given(n=st.integers(1, 300), rho=RHOS, mode=MODES)
     def test_matches_fraction_reference(self, n, rho, mode):
         sched = ridge_periods(n, rho, mode)
-        assert _schedule_facts(sched) == _schedule_facts(_reference_ridge_periods(n, rho, mode))
+        assert _schedule_facts(sched) == _reference_ridge_periods(n, rho, mode)
         assert all(type(p) is F for p in sched.periods)
 
     @settings(max_examples=200, deadline=None)
@@ -222,8 +222,10 @@ class TestIntegerPeriods:
     def test_thresholds_match_stepping_loop(self, n, rho, mode, horizon):
         sched = ridge_periods(n, rho, mode)
         for i in range(1, n + 1):
-            assert (sched.thresholds_upto(i, horizon)
-                    == _reference_thresholds_upto(sched, i, horizon)), i
+            listed = sched.thresholds_upto(i, horizon)
+            assert listed == _reference_thresholds_upto(sched, i, horizon), i
+            assert all(sched.threshold(i, t) == listed[t - 1]
+                       for t in range(1, len(listed) + 1)), i
 
     def test_class_boundaries_on_the_cuts(self):
         # rho = 4/3 at n = 4 puts agent 3 exactly on the early cut n/rho, and
@@ -231,7 +233,7 @@ class TestIntegerPeriods:
         for n, rho, mode in [(4, F(4, 3), "agent"), (8, F(8, 5), "super"),
                              (6, F(3, 2), "agent"), (6, F(3, 2), "super")]:
             assert (_schedule_facts(ridge_periods(n, rho, mode))
-                    == _schedule_facts(_reference_ridge_periods(n, rho, mode)))
+                    == _reference_ridge_periods(n, rho, mode))
 
 
 class TestCertifiedCutoff:
@@ -604,6 +606,17 @@ class TestScalarBounds:
     def test_margin_signs(self):
         assert ridge_rate_margin(1.6) > 0
         assert ridge_rate_margin(1.5) < 0
+
+    @pytest.mark.parametrize("tol", ["0.0", "1e-300"])
+    def test_bisection_below_float_spacing_ends(self, run_python, tol):
+        # Once lo and hi are adjacent floats the midpoint is one of them; the
+        # halving must stop there instead of spinning. Run in a subprocess so
+        # a regression fails on the timeout instead of hanging the suite.
+        script = ("from chorepick.ridge import bisect_root\n"
+                  f"print(repr(bisect_root(lambda x: x * x - 2, 1.0, 2.0, {tol})))\n")
+        done = run_python("-c", script, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert abs(float(done.stdout) - 2 ** 0.5) <= 2 ** -52
 
     def test_search_two_agents(self):
         best = best_ratio_search(2, "agent", F(1, 100))

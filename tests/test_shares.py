@@ -1,3 +1,4 @@
+import gc
 import itertools
 import textwrap
 from fractions import Fraction as F
@@ -152,6 +153,18 @@ class TestMmsOracle:
         with pytest.raises(SizeGuardError):
             mms_oracle([1] * 13, 2)
         assert mms_oracle([1] * 13, 2, force=True) == 7
+
+    def test_leaves_no_cyclic_garbage(self):
+        # The search must not keep itself alive through a reference cycle,
+        # which only the full collector could free.
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                assert mms_oracle([F(3, 7)] * 7, 3) == F(9, 7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestApsOracle:
