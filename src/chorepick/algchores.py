@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements, invariant,
-                    to_ido, to_sequence)
+                    to_sequence)
 from .simulate import greedy_play
 
 ZERO = Fraction(0)
@@ -44,7 +44,6 @@ class RoundTrace:
 class AlgChoresResult:
     allocation: Allocation            # on the original chores
     surrogate_allocation: Allocation  # on the common-order relabeling
-    perms: tuple[tuple[int, ...], ...]
     trace: tuple[RoundTrace, ...]
 
     @property
@@ -74,14 +73,17 @@ def _find_cycle(held) -> list[int]:
 
 
 def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
-    """Allocate chores 1..m (already worst-first) given common-order costs."""
+    """Allocate chores 1..m (already worst-first) given common-order costs;
+    returns the bundles, the trace and the final ``held``."""
     n = len(costs)
     bundles: list[set[int]] = [set() for _ in range(n)]
     trace: list[RoundTrace] = []
     held = [[ZERO] * n for _ in range(n)]
     grand = [sum(row, ZERO) for row in costs]
+    # The envy-free agent found when a round's rotations end receives the
+    # next round's chore: nothing changes in between.
+    recipient = _envy_free_agent(held)
     for r in range(1, m + 1):
-        recipient = _envy_free_agent(held)
         invariant(recipient is not None, "round must start with an envy-free agent")
         # An envy-free agent holds at most the average bundle, hence at most
         # her proportional share.
@@ -91,7 +93,7 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
         for i in range(n):
             held[i][recipient] += costs[i][r - 1]
         rotations: list[tuple[int, ...]] = []
-        while _envy_free_agent(held) is None:
+        while (chosen := _envy_free_agent(held)) is None:
             cycle = _find_cycle(held)
             before = sum((held[i][i] for i in range(n)), ZERO)
             # Agent cycle[k] takes the bundle of cycle[k+1]: the bundles and
@@ -107,16 +109,16 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
         invariant(len(set().union(*bundles)) == r, "bundles must partition the chores")
         if want_trace:
             trace.append(RoundTrace(r, recipient + 1, tuple(rotations)))
-    return bundles, trace
+        recipient = chosen
+    return bundles, trace, held
 
 
 def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
-    """Run the round-based allocation on the common-order reduction (which
-    maps a common-order instance to itself) and map the result back to the
-    real chores."""
-    surrogate, perms = to_ido(inst)
-    bundles, rounds = _core(surrogate.costs, surrogate.m, trace)
-    surrogate_alloc = Allocation.from_lists(bundles)
+    """Run the round-based allocation on the common-order reduction (each
+    agent's costs sorted worst-first, which maps a common-order instance to
+    itself) and map the result back to the real chores."""
+    surrogate = [tuple(sorted(row, reverse=True)) for row in inst.costs]
+    bundles, rounds, held = _core(surrogate, inst.m, trace)
 
     # Replay the surrogate rounds best-to-worst on the real chores: the
     # picking sequence that mirrors the surrogate's allocation order.
@@ -125,15 +127,13 @@ def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
         for r in bundle:
             owners[r - 1] = i
     real = greedy_play(to_sequence(PickingOrder(tuple(owners))), inst)
-    for i in range(1, inst.n + 1):
-        got = inst.bundle_cost(i, real.bundle(i))
-        surr = surrogate.bundle_cost(i, bundles[i - 1])
-        invariant(got <= surr, "reduction must not worsen any bundle")
+    for i in range(1, inst.n + 1):  # held[i-1][i-1]: agent i's surrogate bundle
+        invariant(inst.bundle_cost(i, real.bundle(i)) <= held[i - 1][i - 1],
+                  "reduction must not worsen any bundle")
 
     return AlgChoresResult(
         allocation=real,
-        surrogate_allocation=surrogate_alloc,
-        perms=perms,
+        surrogate_allocation=Allocation.from_lists(bundles),
         trace=tuple(rounds),
     )
 

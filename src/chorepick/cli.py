@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -43,7 +44,7 @@ def _encode(value):
 
 def _emit(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(_encode(payload), sort_keys=True, indent=2))
+    print(json.dumps(_encode(payload), sort_keys=True, indent=2), flush=True)
 
 
 def _parse_entitlements(text: str) -> tuple[Fraction, ...]:
@@ -332,7 +333,16 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: invariant broken: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
-    _emit(payload)
+    try:
+        _emit(payload)
+    except BrokenPipeError:
+        # The reader closed stdout early. Point the descriptor at devnull so
+        # that the flush at interpreter exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_FILE
     if args.command == "verify" and not payload["ok"]:
         return EXIT_GUARANTEE
     return EXIT_OK

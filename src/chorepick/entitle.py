@@ -41,11 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .model import PickingOrder, guard_cells, invariant, to_sequence
+from .model import ChoreInstance, PickingOrder, guard_cells, invariant, to_sequence
 from .ridge import bisect_root
 from .shares import chore_share
 from .simulate import greedy_play, worst_case_bundle
-from . import model as _model
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,7 +80,7 @@ class ScalingFunction:
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError(f"scaling argument must lie in [0, 1], got {x}")
-        if x * self.t > 1:
+        if x * self.t >= 1:  # where the two pieces meet, and s(1) = t even at t = 1
             return self.t
         return (self.t - 1) / (1 - x)
 
@@ -253,6 +252,10 @@ def build_fractional(entitlements: Sequence[Fraction],
             invariant(suffix >= suffix_prop, "suffix domination violated after rebalance")
 
     factors = [scaling(prefix_mass[i]) for i in range(n)]
+    mass = sum((factors[i] * b[i] for i in range(n)), ZERO)
+    if mass < 1:
+        raise ValueError(f"the scaled shares s(B(i))*b(i) sum to {mass} < 1: "
+                         f"the scaling parameter t is too small for these entitlements")
     scaled = [row[:] for row in rebalanced]
     for i in range(n):
         for j in range(n, cols):
@@ -392,7 +395,7 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
         for _ in range(n):
             draws = sorted((rng.randrange(1, grain + 1) for _ in range(m)), reverse=True)
             rows.append(tuple(Fraction(d, grain) for d in draws))
-        inst = _model.ChoreInstance(entitlements=tuple(b), costs=tuple(rows))
+        inst = ChoreInstance(entitlements=tuple(b), costs=tuple(rows))
         played = greedy_play(seq, inst)
         for i in range(1, n + 1):
             ratio = inst.bundle_cost(i, played.bundle(i)) / chore_share(rows[i - 1], b[i - 1])

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import ChoreInstance, PickingSequence, SizeGuardError
-from .simulate import guaranteed_disvalue
+from .simulate import _greedy_picks, guaranteed_disvalue
 
 ZERO = Fraction(0)
 
@@ -80,14 +80,8 @@ def label_guarantees(seq: PickingSequence, costs: Sequence[Fraction],
 def _greedy_label_order(guarantees, agent_order):
     """Each agent in turn takes the remaining label with the smallest
     guarantees[agent][label] (ties: lower label)."""
-    available = set(range(1, len(guarantees) + 1))
-    assignment = {}
-    for agent in agent_order:
-        row = guarantees[agent]
-        label = min(available, key=lambda lab: (row[lab], lab))
-        assignment[agent] = label
-        available.remove(label)
-    return assignment
+    labels = _greedy_picks([guarantees[a] for a in agent_order], range(1, len(guarantees) + 1))
+    return dict(zip(agent_order, labels))
 
 
 def preliminary_stage(mode: str, seq: PickingSequence,

@@ -1,5 +1,4 @@
-"""Chore-allocation instances, picking orders and sequences, and the
-common-order reduction.
+"""Chore-allocation instances, picking orders and sequences.
 
 Conventions used throughout the package:
 
@@ -167,33 +166,6 @@ def save_instance(inst: ChoreInstance, path) -> None:
 
 def equal_entitlements(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, n) for _ in range(n))
-
-
-def to_ido(inst: ChoreInstance):
-    """Rewrite an instance so every cost row is nonincreasing.
-
-    Each agent's surrogate row is her own costs sorted from worst to best.
-    Ties inside a row are broken by a shared reference ordering (chores
-    sorted by total cost over all agents, then by original index), so agents
-    with identical rows receive identical relabelings and an instance that is
-    already in common order maps to itself.
-
-    Returns (surrogate instance, perms) where perms[i-1][j-1] is the original
-    index of agent i's j-th surrogate chore.
-    """
-    n, m = inst.n, inst.m
-    totals = [sum(inst.costs[a][j] for a in range(n)) for j in range(m)]
-    reference = sorted(range(m), key=lambda j: (-totals[j], j))
-    ref_rank = {j: r for r, j in enumerate(reference)}
-    perms = []
-    rows = []
-    for a in range(n):
-        row = inst.costs[a]
-        order = sorted(range(m), key=lambda j: (-row[j], ref_rank[j]))
-        perms.append(tuple(j + 1 for j in order))
-        rows.append(tuple(row[j] for j in order))
-    surrogate = ChoreInstance(entitlements=inst.entitlements, costs=tuple(rows))
-    return surrogate, tuple(perms)
 
 
 @dataclass(frozen=True)

@@ -113,12 +113,14 @@ class ThresholdSchedule:
     @cached_property
     def ridge_violations(self) -> tuple[int, ...]:
         """Agents whose thresholds 1 and 2 pass ridge rounds i and 2n+1-i, found
-        on first read; a class-c agent's first c thresholds are those rounds."""
+        on first read. Only threshold 2 of a class-1 agent can: a class-c
+        agent's first c thresholds are those rounds, and a class-0 agent has
+        p = n/rho <= i and 2p <= 2n+1-i in both modes (the class tests), so
+        ceil(p) <= i and ceil(2p) <= 2n+1-i."""
         nth, last = self._nth, 2 * self.n + 1
-        return tuple(i for i, cls, base, (num, den) in zip(range(1, self.n + 1), self.classes,
-                                                             self.bases, self.period_pairs)
-                     if cls < 2 and nth(i, cls, base, num, den, 2) > last - i
-                     or cls < 1 and nth(i, cls, base, num, den, 1) > i)
+        return tuple(i for i, cls, (num, den) in zip(range(1, self.n + 1), self.classes,
+                                                     self.period_pairs)
+                     if cls == 1 and nth(i, 1, i, num, den, 2) > last - i)
 
     @property
     def ridge_ok(self) -> bool:

@@ -48,6 +48,22 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
+def _greedy_picks(rows: Iterable, items: Iterable[int]) -> list[int]:
+    """Let each row in turn pick the remaining item it values least.
+
+    ``rows`` yields one row per turn, indexable by item. ``items`` come in
+    ascending order and the remaining ones stay so, so ``min`` breaks ties
+    toward the lowest item.
+    """
+    remaining = list(items)
+    picks = []
+    for row in rows:
+        pick = min(remaining, key=row.__getitem__)
+        remaining.remove(pick)
+        picks.append(pick)
+    return picks
+
+
 def greedy_play(seq: PickingSequence, inst: ChoreInstance) -> Allocation:
     """Play a picking sequence with every agent greedy.
 
@@ -57,15 +73,13 @@ def greedy_play(seq: PickingSequence, inst: ChoreInstance) -> Allocation:
     rounds = seq.rounds
     if len(rounds) != inst.m:
         raise ValueError(f"sequence covers {len(rounds)} rounds, instance has {inst.m} chores")
-    remaining = list(range(1, inst.m + 1))
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
     for who in rounds:
         if not 1 <= who <= inst.n:
             raise ValueError(f"picker {who} out of range 1..{inst.n}")
-        row = inst.costs[who - 1]
-        pick = min(remaining, key=lambda j: (row[j - 1], j))
-        remaining.remove(pick)
-        bundles[who - 1].add(pick)
+    picks = _greedy_picks([inst.costs[who - 1] for who in rounds], range(inst.m))
+    bundles: list[set[int]] = [set() for _ in range(inst.n)]
+    for who, pick in zip(rounds, picks):
+        bundles[who - 1].add(pick + 1)
     return Allocation.from_lists(bundles)
 
 

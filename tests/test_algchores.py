@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chorepick import algchores
 from chorepick.algchores import AlgChoresResult, RoundTrace, alg_chores, tight_example
 from chorepick.model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements,
-                             to_ido, to_sequence)
+                             to_sequence)
 from chorepick.shares import aps_oracle, mms_oracle
 from chorepick.simulate import greedy_play
 
@@ -65,6 +66,23 @@ class TestAlgorithm:
         result = alg_chores(inst, trace=True)
         assert result.rotations >= 1
 
+    def test_one_envy_scan_per_round_and_rotation(self, monkeypatch):
+        # The agent found envy-free when a round's rotations end is the next
+        # round's recipient; only the empty start needs a scan of its own.
+        scans = []
+        scan = algchores._envy_free_agent
+        monkeypatch.setattr(algchores, "_envy_free_agent", lambda held: scans.append(1) or scan(held))
+        rng = random.Random(5)
+        rotations = 0
+        for _ in range(100):
+            n, m = rng.randint(1, 5), rng.randint(0, 12)
+            inst = make(n, [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
+            scans.clear()
+            result = alg_chores(inst, trace=True)
+            assert len(scans) == 1 + m + result.rotations
+            rotations += result.rotations
+        assert rotations > 0
+
     def test_partition_and_all_assigned(self):
         inst = make(3, [[9, 7, 5, 4, 2, 1]] * 3)
         result = alg_chores(inst)
@@ -102,7 +120,24 @@ class TestAlgorithm:
 
 
 # Reference implementation: the allocation loop that re-sums both bundles on
-# every envy test, with the identity shortcut for common-order instances.
+# every envy test, with the identity shortcut for common-order instances and
+# the tie-broken relabeling below for all others.
+
+def _reference_to_ido(inst):
+    """Sort each agent's costs worst-first, breaking ties inside a row by a
+    shared reference ordering (chores by total cost over all agents, then
+    by index); returns the surrogate instance."""
+    n, m = inst.n, inst.m
+    totals = [sum(inst.costs[a][j] for a in range(n)) for j in range(m)]
+    reference = sorted(range(m), key=lambda j: (-totals[j], j))
+    ref_rank = {j: r for r, j in enumerate(reference)}
+    rows = []
+    for a in range(n):
+        row = inst.costs[a]
+        order = sorted(range(m), key=lambda j: (-row[j], ref_rank[j]))
+        rows.append(tuple(row[j] for j in order))
+    return ChoreInstance(entitlements=inst.entitlements, costs=tuple(rows))
+
 
 def _reference_envies(costs, bundles, i, j):
     row = costs[i]
@@ -127,10 +162,7 @@ def _reference_find_cycle(costs, bundles, n):
 
 
 def _reference_alg_chores(inst):
-    if inst.is_ido:
-        surrogate, perms = inst, tuple(tuple(range(1, inst.m + 1)) for _ in range(inst.n))
-    else:
-        surrogate, perms = to_ido(inst)
+    surrogate = inst if inst.is_ido else _reference_to_ido(inst)
     costs, n = surrogate.costs, inst.n
     bundles = [set() for _ in range(n)]
     trace = []
@@ -150,7 +182,7 @@ def _reference_alg_chores(inst):
         for r in bundle:
             owners[r - 1] = i
     real = greedy_play(to_sequence(PickingOrder(tuple(owners))), inst)
-    return AlgChoresResult(real, Allocation.from_lists(bundles), perms, tuple(trace))
+    return AlgChoresResult(real, Allocation.from_lists(bundles), tuple(trace))
 
 
 @st.composite

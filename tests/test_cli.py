@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -7,9 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import chorepick
 from chorepick.cli import (EXIT_FILE, EXIT_GUARANTEE, EXIT_GUARD, EXIT_INVALID, EXIT_OK, main)
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(chorepick.__file__).parents[1]
 
 
 def run(capsys, *argv):
@@ -205,6 +209,16 @@ class TestErrorExits:
         assert code == EXIT_INVALID
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("t,m", [("101/100", "0"), ("1", "4")])
+    def test_scaling_parameter_too_small(self, capsys, t, m):
+        # Scaled shares summing below 1 are bad input, not a broken invariant;
+        # at t = 1 the scaling function meets its cap at x = 1.
+        code, out, err = run(capsys, "build", "--mode", "arbitrary", "--scaling", "production",
+                             "--t", t, "--entitlements", "1/2,1/2", "--m", m)
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:") and "parameter t" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("n", ["3", "300"])
     def test_target_ratio_beyond_a_float(self, capsys, n):
         code, out, err = run(capsys, "ratio-test", "--n", n, "--rho", "1e400")
@@ -253,6 +267,24 @@ class TestErrorExits:
         assert done.returncode == EXIT_GUARANTEE, done.stderr
         assert done.stdout == ""
         assert done.stderr.startswith("error: invariant broken:") and "danger zone" in done.stderr
+
+    def test_closed_stdout_is_a_file_error(self):
+        # The reader goes away after the first line of a 131 KB report: one
+        # error line and exit 3, no traceback, nothing at interpreter exit.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "chorepick.cli", "evaluate", "--order", "n4", "--m", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            assert child.stdout.readline() == "{\n"
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == EXIT_FILE, err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestDeterminism:

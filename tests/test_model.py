@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chorepick.model import (Allocation, ChoreInstance, InstanceError, PickingOrder,
                              PickingSequence, load_instance, parse_rational,
-                             save_instance, to_ido, to_order, to_sequence)
+                             save_instance, to_order, to_sequence)
 from chorepick.simulate import greedy_play
 
 
@@ -84,36 +84,6 @@ class TestSerialization:
                   for _ in range(m)] for _ in range(n)]
         inst = make(ents, costs)
         assert ChoreInstance.from_dict(json.loads(json.dumps(inst.to_dict()))) == inst
-
-
-class TestCommonOrderReduction:
-    def test_already_ordered_gives_identity(self):
-        inst = make(["1/2", "1/2"], [[3, 2, 1], [3, 2, 1]])
-        surrogate, perms = to_ido(inst)
-        assert surrogate == inst
-        assert perms == ((1, 2, 3), (1, 2, 3))
-
-    def test_single_agent_sort(self):
-        inst = make(["1"], [[1, 3, 2]])
-        surrogate, perms = to_ido(inst)
-        assert surrogate.row(1) == (3, 2, 1)
-        assert perms == ((2, 3, 1),)
-
-    def test_two_agents_opposed(self):
-        inst = make(["1/2", "1/2"], [[1, 2], [2, 1]])
-        surrogate, perms = to_ido(inst)
-        assert surrogate.is_ido
-        assert surrogate.row(1) == (2, 1) and surrogate.row(2) == (2, 1)
-        # column totals tie, so the shared tie-break is the original index
-        assert perms == ((2, 1), (1, 2))
-
-    def test_surrogate_rows_are_sorted_multisets(self):
-        inst = make(["1/4", "1/4", "1/2"], [[5, 1, 4, 1], [2, 2, 2, 2], [0, 9, 1, 3]])
-        surrogate, perms = to_ido(inst)
-        assert surrogate.is_ido
-        for i in range(1, 4):
-            assert sorted(surrogate.row(i)) == sorted(inst.row(i))
-            assert tuple(inst.row(i)[p - 1] for p in perms[i - 1]) == surrogate.row(i)
 
 
 class TestOrderSequenceDuality:
