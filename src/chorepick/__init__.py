@@ -18,9 +18,9 @@ from .simulate import (evaluate_order, greedy_play, guaranteed_disvalue,
                        nonridge_witness, worst_case_bundle, worst_case_ratio_cs)
 from .entitle import (DEFAULT_T, ScalingFunction, build_fractional, half_plus_x,
                       round_to_order, solve_t, verify_guarantee)
-from .ridge import (CoveringViolation, DominationError, best_ratio_search,
-                    covering_test, fixed_order, halve_thresholds, ridge_periods,
-                    replay_thresholds, solve_rho_star, synthesize_order)
+from .ridge import (CoveringViolation, best_ratio_search, covering_test, fixed_order,
+                    halve_thresholds, ridge_periods, replay_thresholds, solve_rho_star,
+                    synthesize_order)
 from .algchores import alg_chores, tight_example
 from .fairness import (ef_ra_audit, envy_tension_example, preliminary_stage,
                        suffix_envy_condition)

@@ -345,8 +345,6 @@ def round_to_order(alloc: FractionalAllocation,
 class GuaranteeReport:
     bound: Fraction
     order: tuple[int, ...]
-    positions: dict[int, tuple[int, ...]]
-    adversarial: dict[int, Fraction]
     max_adversarial: Fraction
     max_simulated: Fraction
     trials: int
@@ -377,24 +375,18 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
     bound = scaling.guaranteed_ratio
     pipeline = build_fractional(b, scaling, m)
     order = pipeline.order()
-    found = order.positions(m)
-    positions = {i: found.get(i, ()) for i in range(1, n + 1)}
-
-    adversarial: dict[int, Fraction] = {}
-    for i in range(1, n + 1):
-        cap = math.floor(1 / b[i - 1])
-        adversarial[i] = worst_case_bundle(positions[i], m, cap, 1 / b[i - 1]).value
-    max_adv = max(adversarial.values())
+    max_adv = max(worst_case_bundle(rounds, m, math.floor(1 / bi), 1 / bi).value
+                  for rounds, bi in zip(order.positions(m, n), b))
 
     rng = random.Random(seed)
     seq = to_sequence(order, m)
     grain = 10 ** 6
     max_sim = ZERO
     for _ in range(trials):
-        rows = []
-        for _ in range(n):
-            draws = sorted((rng.randrange(1, grain + 1) for _ in range(m)), reverse=True)
-            rows.append(tuple(Fraction(d, grain) for d in draws))
+        # Integer costs d stand for d/grain: the ratio of bundle cost to chore
+        # share does not depend on scale, and greedy ties are the same.
+        rows = [tuple(sorted((rng.randrange(1, grain + 1) for _ in range(m)), reverse=True))
+                for _ in range(n)]
         inst = ChoreInstance(entitlements=tuple(b), costs=tuple(rows))
         played = greedy_play(seq, inst)
         for i in range(1, n + 1):
@@ -405,8 +397,6 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
     return GuaranteeReport(
         bound=bound,
         order=order.expand(m),
-        positions=positions,
-        adversarial=adversarial,
         max_adversarial=max_adv,
         max_simulated=max_sim,
         trials=trials,

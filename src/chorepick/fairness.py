@@ -73,8 +73,8 @@ def suffix_envy_condition(seq: PickingSequence, i: int, j: int) -> SuffixEnvyRes
 def label_guarantees(seq: PickingSequence, costs: Sequence[Fraction],
                      n: int) -> dict[int, Fraction]:
     """Guarantee of each label's round set under one agent's costs."""
-    return {label: guaranteed_disvalue(costs, seq.picks_of(label))
-            for label in range(1, n + 1)}
+    return {label: guaranteed_disvalue(costs, rounds)
+            for label, rounds in enumerate(seq.positions(n), start=1)}
 
 
 def _greedy_label_order(guarantees, agent_order):
@@ -232,8 +232,8 @@ def envy_tension_example(n: int, seq: PickingSequence | None = None) -> TensionE
     if seq is not None:
         if len(seq.rounds) != m:
             raise ValueError(f"sequence must cover {m} rounds")
+        guarantee = guaranteed_disvalue(heavy, seq.positions(n)[0])
         suffix = {q: suffix_envy_condition(seq, q, 1).holds for q in range(2, n + 1)}
-        guarantee = guaranteed_disvalue(heavy, seq.picks_of(1))
     return TensionExample(
         n=n, k=k, m=m,
         entitlements=ents,

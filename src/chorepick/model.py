@@ -168,6 +168,21 @@ def equal_entitlements(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, n) for _ in range(n))
 
 
+def positions(agents: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Per-agent rounds of a round-by-round list of agents.
+
+    Entry i-1 holds the ascending 1-based rounds of agent i, for every agent
+    1..n (empty when she never appears). An agent outside 1..n is refused.
+    """
+    if agents and (min(agents) < 1 or max(agents) > n):
+        who = next(who for who in agents if not 1 <= who <= n)
+        raise InstanceError(f"agent {who} is out of range 1..{n}")
+    rounds: list[list[int]] = [[] for _ in range(n)]
+    for r, who in enumerate(agents, start=1):
+        rounds[who - 1].append(r)
+    return tuple(map(tuple, rounds))
+
+
 @dataclass(frozen=True)
 class PickingOrder:
     """Allocation-order view: entry r names the agent who receives chore r.
@@ -200,12 +215,9 @@ class PickingOrder:
             out.extend(self.cycle)
         return tuple(out[:m])
 
-    def positions(self, m: int) -> dict[int, tuple[int, ...]]:
-        """Rounds (1-based) at which each agent receives a chore, per agent."""
-        rounds: dict[int, list[int]] = {}
-        for r, who in enumerate(self.expand(m), start=1):
-            rounds.setdefault(who, []).append(r)
-        return {who: tuple(rs) for who, rs in rounds.items()}
+    def positions(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
+        """Rounds at which agents 1..n receive a chore in the first m rounds."""
+        return positions(self.expand(m), n)
 
 
 @dataclass(frozen=True)
@@ -222,8 +234,9 @@ class PickingSequence:
     def __len__(self) -> int:
         return len(self.rounds)
 
-    def picks_of(self, agent: int) -> tuple[int, ...]:
-        return tuple(r for r, who in enumerate(self.rounds, start=1) if who == agent)
+    def positions(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """Rounds at which labels 1..n pick."""
+        return positions(self.rounds, n)
 
 
 def to_sequence(order: PickingOrder, m: int | None = None) -> PickingSequence:

@@ -58,6 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .model import InstanceError, PickingOrder, SizeGuardError
@@ -72,14 +73,6 @@ SEARCH_LO, SEARCH_HI = Fraction(101, 100), Fraction(2)  # best_ratio_search brac
 
 class CoveringViolation(RuntimeError):
     """Order synthesis got stuck: the schedule cannot cover some round."""
-
-
-class DominationError(ValueError):
-    """A paired threshold list is not pointwise comparable from entry 3 on."""
-
-    def __init__(self, pairs):
-        self.pairs = tuple(pairs)
-        super().__init__(f"threshold domination fails for pairs {self.pairs}")
 
 
 @dataclass(frozen=True)
@@ -464,8 +457,7 @@ def covering_of_lists(lists: Iterable[Sequence[int]], upto: int) -> int | None:
     return _first_uncovered(counts)
 
 
-def halve_thresholds(sched: ThresholdSchedule, horizon: int,
-                     require_domination: bool = False) -> HalvedSchedule:
+def halve_thresholds(sched: ThresholdSchedule, horizon: int) -> HalvedSchedule:
     """Fold a 2n-agent schedule into threshold lists for n agents.
 
     Pair agents (2i-1, 2i); the i-th output list is the pointwise minimum of
@@ -475,8 +467,8 @@ def halve_thresholds(sched: ThresholdSchedule, horizon: int,
     one list of each pair pointwise below the other) additionally ties every
     output list to a single source agent, which the per-agent ratio argument
     wants; adjacent late-class pairs can violate it by one-round ceiling
-    jitter, so violations are reported on the result (or rejected when
-    ``require_domination`` is set) rather than silently absorbed.
+    jitter, so violations are reported on the result rather than silently
+    absorbed.
 
     The output is checked to admit a ridge prefix and to satisfy covering up
     to floor(horizon/2), which the input's covering up to ``horizon`` implies.
@@ -487,25 +479,16 @@ def halve_thresholds(sched: ThresholdSchedule, horizon: int,
     source = [sched.thresholds_upto(i, horizon) for i in range(1, sched.n + 1)]
 
     bad_pairs = []
+    folded: list[tuple[int, ...]] = []
     for i in range(half_n):
         left, right = source[2 * i], source[2 * i + 1]
         joint = range(2, min(len(left), len(right)))
         if not (all(left[t] >= right[t] for t in joint)
                 or all(left[t] <= right[t] for t in joint)):
             bad_pairs.append((2 * i + 1, 2 * i + 2))
-    if bad_pairs and require_domination:
-        raise DominationError(bad_pairs)
-
-    folded: list[tuple[int, ...]] = []
-    for i in range(half_n):
-        left, right = source[2 * i], source[2 * i + 1]
-        out = []
-        for t in range(max(len(left), len(right))):
-            a = left[t] if t < len(left) else None
-            b = right[t] if t < len(right) else None
-            low = min(v for v in (a, b) if v is not None)
-            out.append(-((-low) // 2))
-        folded.append(tuple(out))
+        # A list that runs out stands for thresholds beyond the horizon.
+        folded.append(tuple(-(-min(a, b) // 2)
+                            for a, b in zip_longest(left, right, fillvalue=math.inf)))
 
     for i, lst in enumerate(folded, start=1):
         if lst and lst[0] > i:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import Allocation, ChoreInstance, PickingOrder, PickingSequence
+from .model import Allocation, ChoreInstance, PickingOrder, PickingSequence, positions
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -73,14 +73,9 @@ def greedy_play(seq: PickingSequence, inst: ChoreInstance) -> Allocation:
     rounds = seq.rounds
     if len(rounds) != inst.m:
         raise ValueError(f"sequence covers {len(rounds)} rounds, instance has {inst.m} chores")
-    for who in rounds:
-        if not 1 <= who <= inst.n:
-            raise ValueError(f"picker {who} out of range 1..{inst.n}")
+    held = seq.positions(inst.n)
     picks = _greedy_picks([inst.costs[who - 1] for who in rounds], range(inst.m))
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    for who, pick in zip(rounds, picks):
-        bundles[who - 1].add(pick + 1)
-    return Allocation.from_lists(bundles)
+    return Allocation.from_lists([[picks[r - 1] + 1 for r in rs] for rs in held])
 
 
 def guaranteed_disvalue(costs: Sequence[Fraction], rounds: Iterable[int]) -> Fraction:
@@ -213,13 +208,9 @@ class OrderEvaluation:
 
 def evaluate_order(order: PickingOrder, n: int, m: int) -> OrderEvaluation:
     """Worst-case chore-share ratio of an order truncated to m rounds."""
-    positions = order.positions(m)
-    if any(not 1 <= who <= n for who in positions):
-        raise ValueError(f"order names agents outside 1..{n}")
     per_agent: dict[int, AgentEvaluation] = {}
     worst = ZERO
-    for agent in range(1, n + 1):
-        J = positions.get(agent, ())
+    for agent, J in enumerate(order.positions(m, n), start=1):
         wc = worst_case_ratio_cs(J, n, m)
         per_agent[agent] = AgentEvaluation(J, wc.value, wc.valuation)
         worst = max(worst, wc.value)
@@ -255,27 +246,23 @@ def nonridge_witness(order: PickingOrder, n: int) -> RidgeDeviation | None:
     """
     m = 2 * n
     head = order.expand(m)
-    positions = order.positions(m)
+    held = positions(head, n)
 
     def deviation(kind, agent, row):
         floor = Fraction(2) if kind == "double-prefix" else Fraction(3, 2)
-        return RidgeDeviation(kind, agent, positions[agent], tuple(row), floor)
+        return RidgeDeviation(kind, agent, held[agent - 1], tuple(row), floor)
 
-    firsts: dict[int, int] = {}
-    for r in range(1, n + 1):
-        who = head[r - 1]
-        if who in firsts:
-            return deviation("double-prefix", who, [ONE] * n + [ZERO] * n)
-        firsts[who] = r
+    # The agent whose k-th round comes earliest deviates if it is <= limit.
+    for kind, k, limit, row in (("double-prefix", 2, n, [ONE] * n + [ZERO] * n),
+                                ("triple", 3, m, [HALF] * m)):
+        r, who = min(((rs[k - 1], who) for who, rs in enumerate(held, start=1) if len(rs) >= k),
+                     default=(m + 1, None))
+        if r <= limit:
+            return deviation(kind, who, row)
 
-    counts: dict[int, int] = {}
-    for who in head:
-        counts[who] = counts.get(who, 0) + 1
-        if counts[who] >= 3:
-            return deviation("triple", who, [HALF] * m)
-
-    for who, j in firsts.items():
-        rounds = positions[who]
+    # Now the first n rounds go to distinct agents, each her first round.
+    for j, who in enumerate(head[:n], start=1):
+        rounds = held[who - 1]
         if len(rounds) > 1 and rounds[1] < 2 * n - j + 1:
             row = [ONE] * j + [HALF] * (2 * (n - j)) + [ZERO] * (m - j - 2 * (n - j))
             return deviation("early-second", who, row)

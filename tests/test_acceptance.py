@@ -200,10 +200,11 @@ def test_criterion_10_envy_conditions():
         for m in range(1, max_len + 1):
             for rounds in itertools.product(range(1, n + 1), repeat=m):
                 seq = PickingSequence(rounds)
+                held = seq.positions(n)
                 for i, j in itertools.permutations(range(1, n + 1), 2):
                     exists = any(
-                        guaranteed_disvalue([0] * (m - ones) + [1] * ones, seq.picks_of(i))
-                        > guaranteed_disvalue([0] * (m - ones) + [1] * ones, seq.picks_of(j))
+                        guaranteed_disvalue([0] * (m - ones) + [1] * ones, held[i - 1])
+                        > guaranteed_disvalue([0] * (m - ones) + [1] * ones, held[j - 1])
                         for ones in range(m + 1))
                     if suffix_envy_condition(seq, i, j).holds != (not exists):
                         brute_ok = False
@@ -216,7 +217,7 @@ def test_criterion_10_envy_conditions():
         m = rng.randint(n, 9)
         row = [F(rng.randint(0, 30), rng.randint(1, 6)) for _ in range(m)]
         seq = PickingSequence(tuple(rng.randint(1, n) for _ in range(m)))
-        total = sum(guaranteed_disvalue(row, seq.picks_of(lab)) for lab in range(1, n + 1))
+        total = sum(guaranteed_disvalue(row, rounds) for rounds in seq.positions(n))
         if F(total, n) != proportional_share(row, F(1, n)):
             mean_ok = False
     report("criterion 10: suffix condition == brute force; label-pick 6/4; mean=PS",

@@ -209,6 +209,17 @@ class TestErrorExits:
         assert code == EXIT_INVALID
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("envy", "--seq", "1,2,5", "--audit", "prsd", "--input", str(GOLDEN / "tight3.json")),
+        ("envy", "--tension-example", "4", "--seq", "1,2,3,4,5,1,2,3,4"),
+    ], ids=["audit", "tension"])
+    def test_label_out_of_range(self, capsys, argv):
+        # Label 5 among 3 or 4 agents has no agent to play it.
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:") and "out of range" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("t,m", [("101/100", "0"), ("1", "4")])
     def test_scaling_parameter_too_small(self, capsys, t, m):
         # Scaled shares summing below 1 are bad input, not a broken invariant;

@@ -38,6 +38,7 @@ class TestSuffixCondition:
         for m in range(1, max_len + 1):
             for rounds in itertools.product(range(1, n + 1), repeat=m):
                 seq = PickingSequence(rounds)
+                held = seq.positions(n)
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         if i == j:
@@ -45,8 +46,8 @@ class TestSuffixCondition:
                         envy_exists = False
                         for ones in range(m + 1):
                             row = [0] * (m - ones) + [1] * ones
-                            gi = guaranteed_disvalue(row, seq.picks_of(i))
-                            gj = guaranteed_disvalue(row, seq.picks_of(j))
+                            gi = guaranteed_disvalue(row, held[i - 1])
+                            gj = guaranteed_disvalue(row, held[j - 1])
                             if gi > gj:
                                 envy_exists = True
                                 break
@@ -264,9 +265,10 @@ class TestRoundingRecipeEnvy:
             n = rng.randint(2, 4)
             m = rng.randint(2, 10)
             seq = PickingSequence(tuple(rng.randint(1, n) for _ in range(m)))
+            held = seq.positions(n)
             row = [F(rng.randint(0, 40), rng.randint(1, 8)) for _ in range(m)]
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j and suffix_envy_condition(seq, i, j).holds:
-                        assert (guaranteed_disvalue(row, seq.picks_of(i))
-                                <= guaranteed_disvalue(row, seq.picks_of(j)))
+                        assert (guaranteed_disvalue(row, held[i - 1])
+                                <= guaranteed_disvalue(row, held[j - 1]))

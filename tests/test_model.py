@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorepick.model import (Allocation, ChoreInstance, InstanceError, PickingOrder,
-                             PickingSequence, load_instance, parse_rational,
+                             PickingSequence, load_instance, parse_rational, positions,
                              save_instance, to_order, to_sequence)
 from chorepick.simulate import greedy_play
 
@@ -117,6 +117,43 @@ class TestOrderSequenceDuality:
     def test_convert_is_an_involution(self, rounds):
         seq = PickingSequence(tuple(rounds))
         assert to_sequence(to_order(seq)).rounds == seq.rounds
+
+
+def _reference_positions(agents, n):
+    """One scan per agent, as the per-label lookup used to do."""
+    return tuple(tuple(r for r, who in enumerate(agents, start=1) if who == agent)
+                 for agent in range(1, n + 1))
+
+
+_agent_lists = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=30)))
+
+
+class TestPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(_agent_lists)
+    def test_partitions_rounds_in_ascending_order(self, case):
+        n, agents = case
+        held = positions(agents, n)
+        assert len(held) == n
+        assert sorted(r for rounds in held for r in rounds) == list(range(1, len(agents) + 1))
+        assert all(list(rounds) == sorted(rounds) for rounds in held)
+        assert held == _reference_positions(agents, n)
+        assert PickingSequence(tuple(agents)).positions(n) == held
+        assert PickingOrder(tuple(agents)).positions(len(agents), n) == held
+
+    def test_periodic_order_view(self):
+        order = PickingOrder((1, 2, 2, 1), (2, 2, 1))
+        assert order.positions(7, 3) == ((1, 4, 7), (2, 3, 5, 6), ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_agent_lists, st.data())
+    def test_agent_outside_range_raises(self, case, data):
+        n, agents = case
+        bad = data.draw(st.one_of(st.integers(n + 1, n + 5), st.integers(-3, 0)))
+        agents.insert(data.draw(st.integers(0, len(agents))), bad)
+        with pytest.raises(InstanceError, match=f"agent {bad} is out of range"):
+            positions(agents, n)
 
 
 class TestAllocation:

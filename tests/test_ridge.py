@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chorepick import ridge
 from chorepick.model import InstanceError, PickingOrder, SizeGuardError
-from chorepick.ridge import (RATE_SCALE, CoveringVerdict, CoveringViolation, DominationError,
+from chorepick.ridge import (RATE_SCALE, CoveringVerdict, CoveringViolation,
                              ThresholdSchedule, best_ratio_search, certified_cutoff,
                              covering_of_lists, covering_ratio, covering_test, exact_rate,
                              fixed_order, halve_thresholds, replay_thresholds, ridge_periods,
@@ -570,7 +570,7 @@ class TestHalving:
             halve_thresholds(ridge_periods(3, F(7, 5)), 50)
 
     def test_domination_violation_is_reported(self):
-        # Crossing pair lists are folded but flagged, and refused on demand.
+        # Crossing pair lists are folded but flagged.
         sched = ridge_periods(4, F(8, 5))
 
         class Crossing:
@@ -584,8 +584,6 @@ class TestHalving:
 
         halved = halve_thresholds(Crossing(), 24)
         assert halved.domination_violations == ((1, 2),)
-        with pytest.raises(DominationError):
-            halve_thresholds(Crossing(), 24, require_domination=True)
 
     def test_adjacent_late_pairs_can_cross_but_still_cover(self):
         # Witness for the reportable ceiling-jitter crossing: both agents of

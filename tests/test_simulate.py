@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chorepick.model import ChoreInstance, PickingOrder, PickingSequence, to_sequence
 from chorepick.shares import chore_share, mms_oracle
-from chorepick.simulate import (WorstCase, evaluate_order, greedy_play,
+from chorepick.simulate import (RidgeDeviation, WorstCase, evaluate_order, greedy_play,
                                 guaranteed_disvalue, nonridge_witness,
                                 worst_case_bundle, worst_case_ratio_cs)
 
@@ -310,7 +310,54 @@ def _all_orders(n, m):
         yield tuple(out)
 
 
+def _reference_nonridge_witness(order, n):
+    """Three scans: a repeat among the first n rounds, a third chore within
+    2n rounds, then a second chore that comes too early."""
+    m = 2 * n
+    head = order.expand(m)
+    held = {}
+    for r, who in enumerate(head, start=1):
+        held.setdefault(who, []).append(r)
+
+    def deviation(kind, agent, row):
+        floor = F(2) if kind == "double-prefix" else F(3, 2)
+        return RidgeDeviation(kind, agent, tuple(held[agent]), tuple(row), floor)
+
+    firsts = {}
+    for r in range(1, n + 1):
+        who = head[r - 1]
+        if who in firsts:
+            return deviation("double-prefix", who, [F(1)] * n + [F(0)] * n)
+        firsts[who] = r
+    counts = {}
+    for who in head:
+        counts[who] = counts.get(who, 0) + 1
+        if counts[who] >= 3:
+            return deviation("triple", who, [F(1, 2)] * m)
+    for who, j in firsts.items():
+        rounds = held[who]
+        if len(rounds) > 1 and rounds[1] < 2 * n - j + 1:
+            row = [F(1)] * j + [F(1, 2)] * (2 * (n - j)) + [F(0)] * (m - j - 2 * (n - j))
+            return deviation("early-second", who, row)
+    return None
+
+
 class TestNonridgeWitness:
+    def test_matches_reference_on_random_orders(self):
+        rng = random.Random(17)
+        kinds = set()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            draw = lambda k: tuple(rng.randint(1, n) for _ in range(k))
+            if rng.random() < 0.5:
+                order = PickingOrder(draw(2 * n))
+            else:
+                order = PickingOrder(draw(rng.randint(0, 2 * n)), draw(rng.randint(1, 2 * n)))
+            w = nonridge_witness(order, n)
+            assert w == _reference_nonridge_witness(order, n), order
+            kinds.add(w and w.kind)
+        assert kinds == {None, "double-prefix", "triple", "early-second"}
+
     def test_ridge_orders_pass(self):
         assert nonridge_witness(PickingOrder((1, 2, 3, 3, 2, 1)), 3) is None
 
