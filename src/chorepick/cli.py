@@ -1,6 +1,14 @@
 """Command-line front door. Every subcommand emits a single JSON document on
 stdout; rationals are rendered as "p/q" strings and all randomness flows
-from --seed, so identical invocations produce byte-identical reports."""
+from --seed, so identical invocations produce byte-identical reports.
+
+The document is written by ``_render``, one walk over the payload whose
+bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)`` with
+every Fraction as a "p/q" string. With ``indent`` set, ``json.dumps`` runs
+the standard library's pure-Python encoder. The walk instead renders each
+run of one object in a list once, joins int lists in one call and escapes
+strings in C, which makes the megabyte reports of ``evaluate`` several
+times cheaper to write."""
 
 from __future__ import annotations
 
@@ -8,10 +16,14 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import random
 import sys
 from fractions import Fraction
+from itertools import compress, count
+from json.encoder import encode_basestring_ascii
+from operator import is_not, sub
 
 from . import algchores, entitle, fairness, ridge, shares, simulate
 from .model import (ChoreInstance, InstanceError, InvariantError, PickingOrder,
@@ -28,23 +40,67 @@ EXIT_GUARD = 5
 EXIT_GUARANTEE = 6      # also an InvariantError: a construction broke its own guarantee
 
 
-def _encode(value):
-    """Render every Fraction inside dicts, lists and tuples as a "p/q" string.
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
 
-    Dict keys pass through unchanged; the str keys the commands build sort
-    as text under sort_keys ("10" before "2")."""
-    if isinstance(value, dict):
-        return {key: _encode(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [str(v) if type(v) is Fraction else _encode(v) for v in value]
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_render(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _render(value, newline: str = "\n") -> str:
+    """The JSON text of ``value``: sorted keys, a 2-space indent, tuples as
+    lists and each Fraction as a "p/q" string. ``newline`` is the line break
+    and indent of the enclosing container."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
     if type(value) is Fraction:
-        return str(value)
-    return value
+        return f'"{value!s}"'
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # Each run of one object is rendered once: a binding valuation is a
+        # few long runs of shared Fractions (simulate._build_valuation).
+        starts = [0, *compress(count(1), map(is_not, value, value[1:]))]
+        heads = list(map(value.__getitem__, starts))
+        if set(map(type, heads)) == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            lengths = map(sub, [*starts[1:], len(value)], starts)
+            body = sep.join([sep.join([_render(head, inner)] * length)
+                             for head, length in zip(heads, lengths)])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_key_text(key)}: {_render(item, inner)}"
+                         for key, item in sorted(value.items())])
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(_encode(payload), sort_keys=True, indent=2), flush=True)
+    print(_render({"schema_version": SCHEMA_VERSION, **payload}), flush=True)
 
 
 def _parse_entitlements(text: str) -> tuple[Fraction, ...]:

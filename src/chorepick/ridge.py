@@ -395,14 +395,13 @@ def synthesize_order(sched: ThresholdSchedule, m: int) -> PickingOrder:
 def replay_thresholds(order: PickingOrder, sched: ThresholdSchedule,
                       m: int) -> list[tuple[int, int, int, int]]:
     """Check an order against a schedule; list (agent, t, round, threshold)
-    violations where the t-th chore of an agent arrives before its release."""
-    violations = []
-    counts = [0] * sched.n
-    for r, who in enumerate(order.expand(m), start=1):
-        counts[who - 1] += 1
-        need = sched.threshold(who, counts[who - 1])
-        if r < need:
-            violations.append((who, counts[who - 1], r, need))
+    violations, by round, where the t-th chore of an agent arrives before its
+    release. An agent outside the schedule's 1..n raises InstanceError."""
+    violations = [(who, t, r, need)
+                  for who, rounds in enumerate(order.positions(m, sched.n), start=1)
+                  for t, r in enumerate(rounds, start=1)
+                  if r < (need := sched.threshold(who, t))]
+    violations.sort(key=lambda v: v[2])
     return violations
 
 

@@ -1,15 +1,19 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chorepick
+import json_reference
+from chorepick import cli, ridge
 from chorepick.cli import (EXIT_FILE, EXIT_GUARANTEE, EXIT_GUARD, EXIT_INVALID, EXIT_OK, main)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -296,6 +300,71 @@ class TestErrorExits:
             child.wait()
         assert child.returncode == EXIT_FILE, err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Payloads for the renderer: every scalar kind the JSON text distinguishes,
+# containers of each shape, lists that repeat one container, and long
+# Fraction rows that repeat one object (as binding valuations do) next to
+# rows of equal but distinct objects.
+TEXT = st.text(max_size=8) | st.sampled_from(
+    ["", 'say "hi"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001d11e"])
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+INTS = st.integers() | st.integers(-10 ** 40, 10 ** 40) | st.sampled_from([0, 1, -1, 2 ** 63])
+SCALARS = TEXT | FLOATS | INTS | st.booleans() | st.none() | st.fractions() | st.sampled_from(
+    [Fraction(4), Fraction(-3), Fraction(-7, 2), Fraction(0), True, 1, False, 0])
+
+
+def _run_of(value, length, shared):
+    if shared:
+        return (value,) * length
+    return tuple(Fraction(value.numerator, value.denominator) for _ in range(length))
+
+
+FRACTION_RUN = st.builds(_run_of, st.fractions(max_denominator=50), st.integers(0, 30),
+                         st.booleans())
+FRACTION_ROWS = st.lists(FRACTION_RUN, max_size=4).map(lambda runs: sum(runs, ()))
+SCALAR_ROWS = (st.lists(INTS, max_size=30) | st.lists(INTS | st.booleans(), max_size=10)
+               | st.lists(SCALARS, max_size=10)).map(tuple)
+PAYLOADS = st.recursive(
+    SCALARS | FRACTION_ROWS | SCALAR_ROWS,
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                      | st.builds(lambda child, k: [child] * k, children, st.integers(1, 4))
+                      | st.dictionaries(TEXT, children, max_size=5)
+                      | st.dictionaries(st.integers(-3, 25), children, max_size=5)),
+    max_leaves=25)
+
+
+class TestRender:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=PAYLOADS)
+    def test_matches_reference(self, payload):
+        assert cli._render(payload) == json_reference.dumps(payload)
+
+    def test_int_keys_sort_as_numbers(self):
+        payload = {10: [], 2: (), 9: {}, -1: Fraction(1, 2)}
+        text = cli._render(payload)
+        assert text == json_reference.dumps(payload)
+        assert text.index('"2"') < text.index('"10"')
+
+    def test_unrenderable_values_raise(self):
+        with pytest.raises(TypeError):
+            cli._render({"x": {1, 2}})
+        with pytest.raises(TypeError):
+            cli._render({Fraction(1, 2): 1})
+
+    def test_megabyte_report_through_a_pipe_under_optimize(self, run_python, tmp_path):
+        # The synthesized n=128, m=512 order prints about 1 MB: a real
+        # stdout, with asserts stripped, carries the reference bytes.
+        order = ridge.synthesize_order(ridge.ridge_periods(128, Fraction(8, 5)), 512)
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps({"assignment": list(order.expand(512))}))
+        argv = ["evaluate", "--order", str(path), "--m", "512"]
+        args = cli._build_parser().parse_args(argv)
+        expected = json_reference.dumps({"schema_version": cli.SCHEMA_VERSION, **args.run(args)})
+        done = run_python("-O", "-m", "chorepick.cli", *argv)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert len(done.stdout) > 1_000_000
+        assert done.stdout == expected + "\n"
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ re-record it only when a change of output is intended:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import gc
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -29,6 +30,7 @@ CASES = {
     "evaluate-n2": "evaluate --order n2 --m 40",
     "evaluate-n3": "evaluate --order n3 --m 30",
     "evaluate-n4": "evaluate --order n4 --m 40",
+    "evaluate-n4-long": "evaluate --order n4 --m 400",
     "evaluate-super8": "evaluate --order super8 --m 48",
     "evaluate-file-cycle": "evaluate --order @order_cycle.json --m 25",
     "evaluate-file-assignment": "evaluate --order @order_assignment.json --m 10 --n 3",
@@ -36,6 +38,9 @@ CASES = {
     "envy-suffix-holds": "envy --seq 1,2,3,3,2,1,2 --check-suffix 1 2",
     "envy-tension": "envy --tension-example 4",
     "envy-tension-seq": "envy --tension-example 4 --seq 1,2,3,4,4,3,2,1,1",
+    # Labels 1..11 repeated to 100 rounds: int keys 2..11 sort as numbers.
+    "envy-tension-11": "envy --tension-example 11 --seq "
+                       + ",".join(str(r % 11 + 1) for r in range(100)),
     "envy-audit-label-pick": "envy --seq 1,2,3,3,2,1 --audit label_pick --input @general.json",
     "envy-audit-prsd": "envy --seq 3,4,4,3,4,4,4,4,4,3,2,1 --audit prsd --input @audit4.json",
     "algchores-trace-aps": "algchores --input @tight3.json --trace --with-aps",
@@ -69,6 +74,23 @@ def test_golden(case):
     code, out = _run(case)
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / f"{case}.out").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_leaves_no_cyclic_garbage(case):
+    # Cyclic garbage waits for the full collector, so it grows the heap of a
+    # long-lived caller between collections. The first call fills the
+    # process-wide parser cache.
+    _run(case)
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = _run(case)
+    finally:
+        garbage = gc.collect()
+        gc.enable()
+    assert code == EXIT_OK
+    assert garbage == 0
 
 
 def test_corpus_replays_in_one_process():

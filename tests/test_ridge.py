@@ -19,8 +19,8 @@ from chorepick.simulate import evaluate_order
 
 # Reference implementations: the Fraction schedule builder, the stepping
 # threshold loop, the full-horizon covering scan, the per-agent threshold-list
-# count and the all-agents synthesis loop that the integer ridge layer
-# replaced. Each must agree with it exactly.
+# count, the all-agents synthesis loop and the counting replay loop that the
+# integer ridge layer replaced. Each must agree with it exactly.
 
 def _pairs(periods):
     return tuple((p.numerator, p.denominator) for p in periods)
@@ -139,6 +139,17 @@ def _reference_synthesize_order(sched, m):
         consumed[agent - 1] += 1
         assignment.append(agent)
     return PickingOrder(prefix=tuple(assignment))
+
+
+def _reference_replay_thresholds(order, sched, m):
+    violations = []
+    counts = [0] * sched.n
+    for r, who in enumerate(order.expand(m), start=1):
+        counts[who - 1] += 1
+        need = sched.threshold(who, counts[who - 1])
+        if r < need:
+            violations.append((who, counts[who - 1], r, need))
+    return violations
 
 
 def _exact_slack(sched):
@@ -456,6 +467,23 @@ class TestSynthesis:
             expanded = order.expand(m)
             assert expanded[:n] == tuple(range(1, n + 1))
             assert expanded[n:2 * n] == tuple(range(n, 0, -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), rho=RHOS, mode=MODES, data=st.data())
+    def test_replay_matches_reference(self, n, rho, mode, data):
+        # Random orders over 1..n break their schedule often; the violations
+        # come back in round order, as the counting loop lists them.
+        sched = ridge_periods(n, rho, mode)
+        agents = st.integers(1, n)
+        prefix = tuple(data.draw(st.lists(agents, max_size=12)))
+        cycle = tuple(data.draw(st.lists(agents, min_size=1, max_size=6)))
+        m = data.draw(st.integers(0, 40))
+        order = PickingOrder(prefix, cycle)
+        assert replay_thresholds(order, sched, m) == _reference_replay_thresholds(order, sched, m)
+
+    def test_replay_refuses_agent_outside_schedule(self):
+        with pytest.raises(InstanceError, match="agent 3 is out of range 1..2"):
+            replay_thresholds(PickingOrder((1, 2, 3, 1)), ridge_periods(2, F(3, 2)), 4)
 
     def test_stuck_round_reports_covering_failure(self):
         sched = ridge_periods(4, F(10, 7))
