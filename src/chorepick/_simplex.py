@@ -2,10 +2,11 @@
 
 Dense one-phase tableau simplex for max c.x s.t. A x <= b, x >= 0 with
 b >= 0. The all-slack basis is then feasible, so no phase 1 is needed.
-Each iteration prices the columns against the basis costs; Bland's rule
-(lowest improving column; ties in the ratio test go to the lowest basic
-index) guarantees termination, and every pivot is exact. Sized for the
-small systems this package produces (a few dozen rows).
+The negated reduced costs ride along as one more tableau row, which every
+pivot updates like the constraint rows; its last entry is the objective
+value. Bland's rule (lowest improving column; ties in the ratio test go to
+the lowest basic index) guarantees termination, and every pivot is exact.
+Sized for the small systems this package produces (a few dozen rows).
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ def maximize(objective: Sequence[Fraction],
     nvar, nrows = len(objective), len(a_ub)
     if any(rhs < 0 for rhs in b_ub):
         raise ValueError("right-hand sides must be nonnegative")
-    # Rows [A | I | b]: b >= 0 makes the all-slack basis feasible.
+    # Rows [A | I | b]: b >= 0 makes the all-slack basis feasible. Last, the
+    # objective row [-c | 0 | 0]: the negated reduced costs, then the value.
     tableau = [[Fraction(v) for v in row] + [ONE if k == r else ZERO for k in range(nrows)]
                + [Fraction(rhs)] for r, (row, rhs) in enumerate(zip(a_ub, b_ub))]
-    cost = [Fraction(c) for c in objective] + [ZERO] * nrows
+    tableau.append([-Fraction(c) for c in objective] + [ZERO] * (nrows + 1))
     basis = list(range(nvar, nvar + nrows))
     while True:
-        cb = [cost[j] for j in basis]  # reduced cost of column j: cost[j] - cb . column j
-        col = next((j for j in range(nvar + nrows)
-                    if cost[j] > sum(c * row[j] for c, row in zip(cb, tableau))), None)
+        zrow = tableau[nrows]
+        col = next((j for j in range(nvar + nrows) if zrow[j] < 0), None)
         if col is None:
             break
         row, best = None, None
@@ -66,4 +67,4 @@ def maximize(objective: Sequence[Fraction],
     for r, j in enumerate(basis):
         if j < nvar:
             x[j] = tableau[r][-1]
-    return sum((c * v for c, v in zip(cost, x)), ZERO), x
+    return tableau[nrows][-1], x

@@ -117,9 +117,10 @@ def _parse_order(text: str) -> PickingOrder:
             if "assignment" in data:
                 return PickingOrder(prefix=tuple(data["assignment"]))
             return PickingOrder(prefix=tuple(data["prefix"]), cycle=tuple(data.get("cycle", ())))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, InstanceError) as exc:
             raise InstanceError(f"{text}: an order file is a JSON object with a 'prefix' "
-                                f"list (and an optional 'cycle') or an 'assignment' list") from exc
+                                f"list of positive agent ids (and an optional 'cycle') "
+                                f"or an 'assignment' list") from exc
     # One agent per digit ("123:321"), or comma-separated labels once the
     # text has a comma ("1,2,10:10,2").
     prefix, _, cycle = text.partition(":")

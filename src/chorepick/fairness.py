@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import ChoreInstance, PickingSequence, SizeGuardError
+from .model import CELL_LIMIT, ChoreInstance, PickingSequence, SizeGuardError
 from .simulate import _greedy_picks, guaranteed_disvalue
 
 ZERO = Fraction(0)
@@ -225,6 +225,8 @@ def envy_tension_example(n: int, seq: PickingSequence | None = None) -> TensionE
         raise ValueError("the tension example needs n >= 4 (it degenerates below)")
     k = n - 2
     m = k * n + 1
+    if m > CELL_LIMIT:
+        raise SizeGuardError(f"the tension example: {m} chores exceed the guard of {CELL_LIMIT}")
     ents = (Fraction(k + 1, m),) + tuple(Fraction(k, m) for _ in range(n - 1))
     heavy = (Fraction(k),) + tuple(Fraction(1) for _ in range(m - 1))
     suffix = None

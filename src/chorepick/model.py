@@ -130,7 +130,7 @@ class ChoreInstance:
             if key not in data:
                 raise InstanceError(f"missing field {key!r}")
         n, m = data["agents"], data["chores"]
-        if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 0:
+        if type(n) is not int or type(m) is not int or n < 1 or m < 0:  # refuses bool
             raise InstanceError("'agents' and 'chores' must be positive integers")
         ents = data["entitlements"]
         rows = data["costs"]
@@ -196,7 +196,7 @@ class PickingOrder:
 
     def __post_init__(self):
         for who in self.prefix + self.cycle:
-            if not isinstance(who, int) or who < 1:
+            if type(who) is not int or who < 1:  # bool too: JSON true is no agent
                 raise InstanceError(f"picker ids must be positive integers, got {who!r}")
 
     @property
@@ -228,7 +228,7 @@ class PickingSequence:
 
     def __post_init__(self):
         for who in self.rounds:
-            if not isinstance(who, int) or who < 1:
+            if type(who) is not int or who < 1:  # bool too: JSON true is no agent
                 raise InstanceError(f"picker ids must be positive integers, got {who!r}")
 
     def __len__(self) -> int:

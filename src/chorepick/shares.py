@@ -21,7 +21,9 @@ enumeration behind size limits that callers may override.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -117,17 +119,13 @@ def _mms_descend(items: list[Fraction], idx: int, loads: list[Fraction],
         loads[i] = load
 
 
-def _patterns(group_sizes: Sequence[int]):
-    return itertools.product(*(range(k + 1) for k in group_sizes))
-
-
 def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -> Fraction:
     """Exact anyprice share for chores.
 
     APS >= z holds iff some price vector (nonnegative, summing to 1) gives
     every bundle of disvalue below z a price strictly below the budget b.
     Candidates for z are the distinct bundle disvalues; feasibility of each
-    is monotone, so a binary search over candidates finds the largest.
+    is monotone, so ``bisect`` over the candidates finds the largest.
 
     Two exact reductions keep the search small:
 
@@ -138,6 +136,10 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -
       feasibility is the packing LP max { sizes.u : pattern.u <= 1, u >= 0 }
       over per-item class prices u exceeding 1/b. Its all-slack basis is
       feasible, so one simplex phase decides it.
+
+    Each pattern is tabled once with its cost and its reach: the cost plus
+    the cheapest class it still has room for (None when it holds every
+    item). It is inclusion-maximal below z iff cost < z <= reach.
     """
     b = _check_entitlement(b)
     row = [Fraction(c) for c in costs]
@@ -148,39 +150,30 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -
     if m == 0:
         return ZERO
 
-    classes: dict[Fraction, int] = {}
-    for c in row:
-        classes[c] = classes.get(c, 0) + 1
+    classes = Counter(row)
     values = sorted(classes, reverse=True)
     sizes = [classes[v] for v in values]
-    ngroups = len(values)
+    patterns = []
+    for t in itertools.product(*(range(k + 1) for k in sizes)):
+        cost = sum((v * k for v, k in zip(values, t)), ZERO)
+        cheapest = min((v for v, k, size in zip(values, t, sizes) if k < size), default=None)
+        patterns.append((t, cost, None if cheapest is None else cost + cheapest))
+    candidates = sorted({cost for _, cost, _ in patterns})
 
-    patterns = [(t, sum((values[g] * t[g] for g in range(ngroups)), ZERO))
-                for t in _patterns(sizes)]
-    candidates = sorted({cost for _, cost in patterns})
-
-    def feasible(z: Fraction) -> bool:
-        # Inclusion-maximal patterns below z: adding any one more item reaches z.
-        rows = [t for t, cost in patterns
-                if cost < z and not any(t[g] < sizes[g] and cost + values[g] < z
-                                        for g in range(ngroups))]
+    def infeasible(z: Fraction) -> bool:
+        rows = [t for t, cost, reach in patterns
+                if cost < z and (reach is None or reach >= z)]
         # Class prices u >= 0 with every row priced at most 1 scale to a price
         # vector p = u / sizes.u whose dearest row costs 1 / sizes.u, so z is
         # feasible iff max sizes.u exceeds 1/b (or is unbounded).
         try:
             value, _ = maximize(sizes, rows, [1] * len(rows))
         except LpUnbounded:
-            return True
-        return value * b > 1
+            return False
+        return value * b <= 1
 
-    lo, hi = 0, len(candidates) - 1  # candidates[0] == 0 is always feasible
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(candidates[mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return candidates[lo]
+    # candidates[0] == 0 is always feasible; bisect finds the first infeasible one.
+    return candidates[bisect.bisect_left(candidates, True, 1, key=infeasible) - 1]
 
 
 @dataclass(frozen=True)

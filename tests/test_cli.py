@@ -176,14 +176,25 @@ class TestBuildAndVerify:
 
 
 class TestErrorExits:
-    @pytest.mark.parametrize("doc", [{"cycle": [1, 2]}, [1, 2, 2, 1]],
-                             ids=["no-prefix", "list"])
+    @pytest.mark.parametrize("doc", [{"cycle": [1, 2]}, [1, 2, 2, 1],
+                                     {"prefix": [True, 2, 2, 1]}],
+                             ids=["no-prefix", "list", "bool-agent"])
     def test_malformed_order_file(self, capsys, tmp_path, doc):
         path = tmp_path / "order.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "evaluate", "--order", str(path), "--m", "4", "--n", "2")
         assert code == EXIT_INVALID
         assert out == "" and "order file" in err
+
+    @pytest.mark.parametrize("field", ["agents", "chores"])
+    def test_boolean_instance_size(self, capsys, tmp_path, field):
+        # JSON true is an int to Python; as a count it would read as 1.
+        doc = {"agents": 1, "chores": 1, "entitlements": ["1"], "costs": [["1"]], field: True}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "shares", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert out == "" and "positive integers" in err
 
     def test_empty_order_file_needs_n(self, capsys, tmp_path):
         path = tmp_path / "order.json"
@@ -270,6 +281,20 @@ class TestErrorExits:
         assert done.returncode == EXIT_GUARD, done.stderr
         assert done.stdout == ""
         assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+
+    def test_tension_example_size_guard(self, run_python):
+        # (N-2)N+1 = 35,988,001 chores at N = 6000: refused before any
+        # Fraction is built, so a 192 MiB address space is never exhausted.
+        script = ("import resource, sys\n"
+                  "cap = 192 << 20\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                  "from chorepick import cli\n"
+                  "sys.exit(cli.main(['envy', '--tension-example', '6000']))\n")
+        done = run_python("-c", script, timeout=60)
+        assert done.returncode == EXIT_GUARD, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: the tension example: 35988001 chores exceed the guard")
+        assert done.stderr.count("\n") == 1
 
     def test_invariant_survives_optimize_flag(self, run_python):
         # A helper that reports a fraction in column 1 breaks the danger-zone

@@ -36,6 +36,8 @@ class TestSimplex:
     def test_basic_maximum(self):
         value, x = maximize([F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)])
         assert value == 10 and x == [F(2), F(2)]
+        # Two optimal vertices: Bland's lowest improving column enters first.
+        assert maximize([1, 1], [[1, 1]], [1]) == (1, [1, 0])
 
     def test_negative_right_hand_side(self):
         with pytest.raises(ValueError):
