@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import random
@@ -28,7 +27,7 @@ from operator import is_not, sub
 from . import algchores, entitle, fairness, ridge, shares, simulate
 from .model import (ChoreInstance, InstanceError, InvariantError, PickingOrder,
                     PickingSequence, SizeGuardError, equal_entitlements, guard_cells,
-                    load_instance, parse_rational, to_sequence)
+                    load_instance, parse_rational, read_json, to_sequence)
 
 SCHEMA_VERSION = 1
 
@@ -111,8 +110,7 @@ def _parse_order(text: str) -> PickingOrder:
     if text in ridge.FIXED_ORDERS:
         return ridge.fixed_order(text)
     if text.endswith(".json"):
-        with open(text, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = read_json(text)
         try:
             if "assignment" in data:
                 return PickingOrder(prefix=tuple(data["assignment"]))

@@ -39,7 +39,8 @@ CELL_LIMIT = 1 << 24
 
 
 def guard_cells(n: int, m: int, what: str) -> None:
-    if n > 0 and m > 0 and n * m > CELL_LIMIT:
+    # An empty dimension counts as one: n agents with no chores still cost n.
+    if n * max(m, 1) > CELL_LIMIT:
         raise SizeGuardError(f"{what}: {n} x {m} cells exceed the guard of {CELL_LIMIT}")
 
 
@@ -53,6 +54,11 @@ def invariant(holds: bool, message: str) -> None:
         raise InvariantError(message)
 
 
+#: Largest decimal exponent parse_rational accepts: Fraction("1e30000000")
+#: would compute 10**30000000. Python refuses digit strings this long too.
+EXPONENT_LIMIT = 4300
+
+
 def parse_rational(value) -> Fraction:
     """Parse "p/q", a decimal string, or an int into an exact Fraction."""
     if isinstance(value, bool):
@@ -61,9 +67,13 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            exponent = int(value.lower().rpartition("e")[2]) if "e" in value or "E" in value else 0
+            if abs(exponent) <= EXPONENT_LIMIT:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceError(f"not a rational: {value!r}") from exc
+        raise InstanceError(f"not a rational: {value!r} (exponents beyond {EXPONENT_LIMIT} "
+                            f"are refused)")
     raise InstanceError(f"not a rational: {value!r} (floats are rejected; pass a string)")
 
 
@@ -147,12 +157,20 @@ class ChoreInstance:
         )
 
 
-def load_instance(path) -> ChoreInstance:
+def read_json(path):
+    """The JSON document in a file. Malformed text, or nesting too deep for
+    the parser's recursion, is an InstanceError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
-            raise InstanceError(f"invalid JSON: {exc}") from exc
+            raise InstanceError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise InstanceError(f"{path}: invalid JSON: nested too deeply to parse") from None
+
+
+def load_instance(path) -> ChoreInstance:
+    data = read_json(path)
     if isinstance(data, dict) and "agents" not in data and "instance" in data:
         data = data["instance"]  # accept a generator report as-is
     return ChoreInstance.from_dict(data)

@@ -18,7 +18,9 @@ Periods are the largest pick rates compatible with a target ratio rho
 against the chore share: n/rho for class 0, (n-i)/(rho-1) for class 1 and
 (i-1)/(2(rho-1)) for class 2. "Super" mode prices each agent as a block
 representative (first member for early blocks, last member for late
-blocks), giving (n-i+1)/(rho-1) and i/(2(rho-1)) instead.
+blocks), giving (n-i+1)/(rho-1) and i/(2(rho-1)) instead. Each class test
+is monotone in i (class 1 holds below one cut, class 2 above another), so
+the classes run 1...1 0...0 2...2 and every reader walks the three runs.
 
 An order exists iff the thresholds *cover* every round: at least k
 thresholds of value <= k for every k. Failing any finite k refutes the
@@ -27,16 +29,16 @@ r = sum 1/p(i) exceeds 1: every round past a finite K* is then covered
 automatically, so only a finite scan is needed. At r <= 1 a clean scan is
 reported as inconclusive.
 
-Schedules and thresholds are integer-exact. With rho = a/c, every class is
-decided by an integer cross-multiplication, and every period is kept as the
-integer pair (num, den) it is computed as; step k of a period lands on
+Schedules and thresholds are integer-exact. With rho = a/c, the two cuts
+are integer floor divisions, and every period is kept as the integer pair
+(num, den) it is computed as; step k of a period lands on
 base + ceil(k*num/den), computed by integer division. The Fractions of
 ``ThresholdSchedule.periods`` are built only when first read.
 
 The covering scan counts in one pass over the agents: each threshold is
 added straight into one count array indexed by round, and the class-0
-agents, who share base 0 and the period n/rho, are stepped once with their
-number as the weight. The array is the only structure whose size grows
+run, whose agents share base 0 and the period n/rho, is stepped once with
+its length as the weight. The array is the only structure whose size grows
 with the scan. Every period is at least n/rho, so a scan to round K counts
 at most 2n + K*rho thresholds; a scan with K*rho above ``SCAN_LIMIT`` is
 refused with a ``SizeGuardError`` before anything is allocated.
@@ -58,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Iterable, Sequence
 
 from .model import InstanceError, PickingOrder, SizeGuardError
@@ -83,13 +85,19 @@ class ThresholdSchedule:
     not necessarily in lowest terms. One rule gives every threshold: agent i
     of class c has base (0, i, 2n+1-i)[c], and its t-th threshold is step
     t-c, base + ceil((t-c)*num/den), except that a class-2 agent's first
-    threshold is i itself."""
+    threshold is i itself. The classes run 1...1 0...0 2...2, because each
+    class test is monotone in i, so two cuts (``cuts``) describe them."""
 
     n: int
     rho: Fraction
     mode: str
     classes: tuple[int, ...]
     period_pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def cuts(self) -> tuple[int, int]:
+        """(early, late): classes 1, 0 and 2 hold agents ..early, ..late and the rest."""
+        return self.classes.count(1), self.n - self.classes.count(2)
 
     @cached_property
     def periods(self) -> tuple[Fraction, ...]:
@@ -99,9 +107,8 @@ class ThresholdSchedule:
     @cached_property
     def bases(self) -> tuple[int, ...]:
         """Each agent's base (0, i, 2n+1-i)[c], built on first read."""
-        last = 2 * self.n + 1
-        return tuple([c and (i if c == 1 else last - i)
-                      for i, c in zip(range(1, self.n + 1), self.classes)])
+        early, late = self.cuts
+        return (*range(1, early + 1), *(0,) * (late - early), *range(2 * self.n - late, self.n, -1))
 
     @cached_property
     def ridge_violations(self) -> tuple[int, ...]:
@@ -111,9 +118,14 @@ class ThresholdSchedule:
         p = n/rho <= i and 2p <= 2n+1-i in both modes (the class tests), so
         ceil(p) <= i and ceil(2p) <= 2n+1-i."""
         nth, last = self._nth, 2 * self.n + 1
-        return tuple(i for i, cls, (num, den) in zip(range(1, self.n + 1), self.classes,
-                                                     self.period_pairs)
-                     if cls == 1 and nth(i, 1, i, num, den, 2) > last - i)
+        return tuple(i for i, (num, den) in zip(range(1, self.cuts[0] + 1), self.period_pairs)
+                     if nth(i, 1, i, num, den, 2) > last - i)
+
+    def stepped(self) -> Iterable[tuple[int, tuple[int, int]]]:
+        """(base, (num, den)) of the class-1 run, then the class-2 run: base > 0."""
+        early, late = self.cuts
+        bases, pairs = self.bases, self.period_pairs
+        return chain(zip(bases[:early], pairs), zip(bases[late:], pairs[late:]))
 
     @property
     def ridge_ok(self) -> bool:
@@ -145,11 +157,15 @@ class ThresholdSchedule:
 def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedule:
     """Classes and periods for n agents at target ratio rho.
 
-    With rho = a/c every class test is an integer cross-multiplication and
-    every period is one integer pair (num, den).
+    With rho = a/c each class test is an integer cross-multiplication that
+    holds below or above one cut in i, so the cuts are two floor divisions.
+    Every period is one integer pair (num, den).
 
     >>> from fractions import Fraction as F
-    >>> ridge_periods(4, F(10, 7)).periods
+    >>> sched = ridge_periods(4, F(10, 7))
+    >>> sched.classes
+    (1, 1, 0, 2)
+    >>> sched.periods
     (Fraction(7, 1), Fraction(14, 3), Fraction(14, 5), Fraction(7, 2))
     """
     rho = Fraction(rho)
@@ -163,34 +179,18 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
         raise SizeGuardError(f"{n} agents exceed the guard of {SCAN_LIMIT // 2}: "
                              f"no covering scan could reach round 2n")
     a, c = rho.numerator, rho.denominator
-    gap = a - c                      # rho - 1 = gap/c
-    nc = n * c                       # i < n/rho  iff  i*a < nc
-    mid = (nc, a)                    # the class-0 period n/rho, shared
-    agent_late = (2 * n + 1) * a - 2 * nc   # class 2 beyond it (agent mode)
-    super_late = 2 * n * gap                # class 2 beyond it (super mode)
-    classes, pairs = [], []
-    for i in range(1, n + 1):
-        ia = i * a
-        if mode == "agent":
-            if ia < nc:
-                cls, pair = 1, ((n - i) * c, gap)
-            elif ia <= agent_late:
-                cls, pair = 0, mid
-            else:
-                cls, pair = 2, ((i - 1) * c, 2 * gap)
-        else:
-            # Block accounting: a block is early if its first member is,
-            # late if its last member is; periods take the block's slowest
-            # member in the limit of large blocks.
-            if ia > super_late:
-                cls, pair = 2, (i * c, 2 * gap)
-            elif ia - a < nc:
-                cls, pair = 1, ((n - i + 1) * c, gap)
-            else:
-                cls, pair = 0, mid
-        classes.append(cls)
-        pairs.append(pair)
-    return ThresholdSchedule(n, rho, mode, tuple(classes), tuple(pairs))
+    gap, nc = a - c, n * c           # rho - 1 = gap/c, and n/rho = nc/a
+    if mode == "agent":   # class 1 iff i*a < nc, else class 2 iff i*a > (2n+1)a - 2nc
+        early = min(n, (nc - 1) // a)
+        late, shift = max(early, min(n, ((2 * n + 1) * a - 2 * nc) // a)), 0
+    else:   # a block is late iff its last member is (i*a > 2n*gap), else early
+        late = min(n, 2 * n * gap // a)   # iff its first member is ((i-1)*a < nc)
+        early, shift = min(late, (nc - 1) // a + 1), 1
+    pairs = ([((n - i + shift) * c, gap) for i in range(1, early + 1)]
+             + [(nc, a)] * (late - early)
+             + [((i - 1 + shift) * c, 2 * gap) for i in range(late + 1, n + 1)])
+    classes = (1,) * early + (0,) * (late - early) + (2,) * (n - late)
+    return ThresholdSchedule(n, rho, mode, classes, tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -248,19 +248,19 @@ def certified_cutoff(sched: ThresholdSchedule,
     such round need exist.
     """
     # scale * (B-1) <= scale * (n - sum(c_i) - 1) + sum(base_i * ceil(scale/p_i)).
-    # The class-0 agents add nothing to it and share one period: one rate term.
-    rate_low, slack_high = 0, scale * (sched.n - sum(sched.classes) - 1)
-    for base, (num, den) in zip(sched.bases, sched.period_pairs):
-        if base:
-            q, rem = divmod(scale * den, num)
-            rate_low += q
-            slack_high += base * (q + (rem > 0))
-    if 0 in sched.classes:
-        num, den = sched.period_pairs[sched.classes.index(0)]
-        rate_low += sched.classes.count(0) * (scale * den // num)
+    # The class-0 run adds nothing to it and shares one period: one rate term.
+    n, (early, late) = sched.n, sched.cuts
+    rate_low, slack_high = 0, scale * (2 * late - n - early - 1)
+    for base, (num, den) in sched.stepped():
+        q, rem = divmod(scale * den, num)
+        rate_low += q
+        slack_high += base * (q + (rem > 0))
+    if late > early:
+        num, den = sched.period_pairs[early]
+        rate_low += (late - early) * (scale * den // num)
     if rate_low <= scale:
         return rate_low, None
-    return rate_low, max(2 * sched.n, -(-slack_high // (rate_low - scale)))
+    return rate_low, max(2 * n, -(-slack_high // (rate_low - scale)))
 
 
 def _guard_scan(sched: ThresholdSchedule, upto: int) -> None:
@@ -275,25 +275,22 @@ def _guard_scan(sched: ThresholdSchedule, upto: int) -> None:
 def threshold_counts(sched: ThresholdSchedule, upto: int) -> list[int]:
     """counts[k] = the number of thresholds equal to k, for k <= upto.
 
-    One pass over the agents adds every threshold <= upto; the class-0
-    agents' shared steps are added once, weighted by their number."""
+    One pass over the class-1 and class-2 runs adds every threshold <= upto;
+    the class-0 run's shared steps are added once, weighted by its length."""
     _guard_scan(sched, upto)
     counts = [0] * (upto + 1)
-    for agent, cls, base, (num, den) in zip(range(1, sched.n + 1), sched.classes,
-                                            sched.bases, sched.period_pairs):
-        if not cls:
-            continue
-        if cls == 2 and agent <= upto:   # a class-2 agent's first threshold
-            counts[agent] += 1
+    n, (early, late) = sched.n, sched.cuts
+    for agent in range(late + 1, min(n, upto) + 1):   # the class-2 first thresholds
+        counts[agent] += 1
+    for base, (num, den) in sched.stepped():
         # Step k lands on base + ceil(k*num/den) = base - (-k*num // den),
         # which is <= upto iff k*num <= (upto - base)*den.
         for x in range(0, (base - upto) * den - 1, -num):
             counts[base - x // den] += 1
-    if 0 in sched.classes:
-        num, den = sched.period_pairs[sched.classes.index(0)]
-        zeros = sched.classes.count(0)
+    if late > early:
+        num, den = sched.period_pairs[early]
         for x in range(-num, -upto * den - 1, -num):
-            counts[-(x // den)] += zeros
+            counts[-(x // den)] += late - early
     return counts
 
 

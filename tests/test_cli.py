@@ -196,6 +196,39 @@ class TestErrorExits:
         assert code == EXIT_INVALID
         assert out == "" and "positive integers" in err
 
+    @pytest.mark.parametrize("argv", [("shares", "--input", "{}"),
+                                      ("simulate", "--order", "n2", "--input", "{}"),
+                                      ("evaluate", "--order", "{}", "--m", "4")],
+                             ids=["shares", "simulate", "evaluate-order-file"])
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        # Nesting past the interpreter's recursion limit makes json.load raise
+        # RecursionError; both JSON boundaries report it as bad input.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("shares", "--input", "{}"),
+        ("ratio-test", "--n", "3", "--rho", "1e30000000"),
+        ("build", "--entitlements", "1/2,1/2", "--m", "4", "--t", "1e30000000"),
+        ("build", "--entitlements", "1e-30000000,1/2", "--m", "4"),
+    ], ids=["instance-cost", "rho", "t", "entitlements"])
+    def test_huge_decimal_exponent(self, run_python, tmp_path, argv):
+        # Fraction("1e30000000") would compute 10**30000000; the exponent is
+        # refused before that, so the child ends well inside its timeout.
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"agents": 1, "chores": 1, "entitlements": ["1"],
+                                    "costs": [["1e30000000"]]}))
+        argv = [a.format(path) for a in argv]
+        done = run_python("-m", "chorepick.cli", *argv, timeout=20)
+        assert done.returncode == EXIT_INVALID, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: not a rational") and "exponent" in done.stderr
+        assert done.stderr.count("\n") == 1
+
     def test_empty_order_file_needs_n(self, capsys, tmp_path):
         path = tmp_path / "order.json"
         path.write_text(json.dumps({"prefix": []}))
@@ -261,9 +294,12 @@ class TestErrorExits:
         ("build", "--entitlements", "1/100000000,99999999/100000000", "--m", "4"),
         ("verify", "--entitlements", "1/100000000,99999999/100000000", "--m", "4"),
         ("gen", "--kind", "tight", "--n", "100000"),
+        # No chores: each agent still counts as one cell.
+        ("evaluate", "--order", "n2", "--m", "0", "--n", "16777217"),
+        ("gen", "--kind", "random", "--n", "16777217", "--m", "0"),
     ], ids=["ratio-test-horizon", "ratio-test-huge-rho", "build-huge-rho", "search-tiny-tol",
             "evaluate-huge-m", "build-tiny-entitlement", "verify-tiny-entitlement",
-            "gen-tight-huge-n"])
+            "gen-tight-huge-n", "evaluate-no-chores-huge-n", "gen-no-chores-huge-n"])
     def test_scan_size_guard(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_GUARD

@@ -53,7 +53,11 @@ CASES = {
     "build-half-plus-x": "build --entitlements 1/8,3/8,1/2 --m 12 --scaling half-plus-x",
     "build-no-trace": "build --entitlements 1/6,1/6,1/3,1/3 --m 14 --no-trace",
     "build-equal": "build --mode equal --n 8 --rho 8/5 --m 40 --schedule super",
+    # Agent mode with all three class runs (classes 1,1,1,0,0,2).
+    "build-equal-agent": "build --mode equal --n 6 --rho 3/2 --m 12",
     "ratio-test-inconclusive": "ratio-test --n 2 --rho 4/3 --horizon 60",
+    # Classes 1,1,1,1,2,2: the class-0 run is empty and the ridge fails.
+    "ratio-test-no-mid": "ratio-test --n 6 --rho 13/10",
     "ratio-test-float-fail": "ratio-test --n 200 --rho 152/100 --horizon 1000",
     "ratio-test-cutoff-pass": "ratio-test --n 1024 --rho 8/5 --mode super",
     "ratio-test-float-fail-slack": "ratio-test --n 1024 --rho 77/50 --mode agent",

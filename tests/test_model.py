@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chorepick.model import (Allocation, ChoreInstance, InstanceError, PickingOrder,
-                             PickingSequence, load_instance, parse_rational, positions,
-                             save_instance, to_order, to_sequence)
+from chorepick.model import (CELL_LIMIT, Allocation, ChoreInstance, InstanceError,
+                             PickingOrder, PickingSequence, SizeGuardError, guard_cells,
+                             load_instance, parse_rational, positions, save_instance, to_order,
+                             to_sequence)
 from chorepick.simulate import greedy_play
 
 
@@ -25,6 +26,26 @@ class TestParsing:
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(InstanceError):
             parse_rational(bad)
+
+    def test_exponents_up_to_the_limit(self):
+        assert parse_rational("1e400") == 10 ** 400
+        assert parse_rational("1e-400") == F(1, 10 ** 400)
+        assert parse_rational("-2.5E+4300") == -25 * 10 ** 4299
+        for bad in ("1e4301", "1E-4301", " 3.5e30000000 ", "1e" + "9" * 5000):
+            with pytest.raises(InstanceError, match="not a rational"):
+                parse_rational(bad)
+
+
+class TestCellGuard:
+    @pytest.mark.parametrize("n,m", [(CELL_LIMIT + 1, 0), (CELL_LIMIT // 2 + 1, 2)])
+    def test_refuses_past_the_limit(self, n, m):
+        # An empty dimension counts as one: n agents with no chores still cost n.
+        with pytest.raises(SizeGuardError, match="guard"):
+            guard_cells(n, m, "the table")
+
+    @pytest.mark.parametrize("n,m", [(CELL_LIMIT, 0), (CELL_LIMIT, 1), (1, CELL_LIMIT)])
+    def test_allows_up_to_the_limit(self, n, m):
+        guard_cells(n, m, "the table")
 
 
 class TestInstance:

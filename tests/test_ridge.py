@@ -240,9 +240,17 @@ class TestIntegerPeriods:
 
     def test_class_boundaries_on_the_cuts(self):
         # rho = 4/3 at n = 4 puts agent 3 exactly on the early cut n/rho, and
-        # rho = 8/5 at n = 8 puts agent 6 exactly on the super late cut.
+        # rho = 8/5 at n = 8 puts agent 6 exactly on the super late cut. The
+        # paper's n = 16384 schedules, an empty class-0 run (n = 6 at 13/10:
+        # 1,1,1,1,2,2) and one agent in either mode bound the runs' ends.
         for n, rho, mode in [(4, F(4, 3), "agent"), (8, F(8, 5), "super"),
-                             (6, F(3, 2), "agent"), (6, F(3, 2), "super")]:
+                             (6, F(3, 2), "agent"), (6, F(3, 2), "super"),
+                             (16384, F(1543, 1000), "super"),
+                             (16384, F(1542, 1000), "agent"),
+                             (6, F(13, 10), "agent"), (6, F(13, 10), "super"),
+                             (1, F(3, 2), "agent"), (1, F(3, 2), "super"),
+                             (1, F(3), "agent"), (1, F(3), "super"),
+                             (1, F(1001, 1000), "agent"), (1, F(1001, 1000), "super")]:
             assert (_schedule_facts(ridge_periods(n, rho, mode))
                     == _reference_ridge_periods(n, rho, mode))
 
