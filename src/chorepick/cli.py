@@ -79,7 +79,7 @@ def _render(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         # Each run of one object is rendered once: a binding valuation is a
-        # few long runs of shared Fractions (simulate._build_valuation).
+        # few long runs of shared Fractions (simulate.WorstCase.valuation).
         starts = [0, *compress(count(1), map(is_not, value, value[1:]))]
         heads = list(map(value.__getitem__, starts))
         if set(map(type, heads)) == {int}:
@@ -96,10 +96,6 @@ def _render(value, newline: str = "\n") -> str:
                          for key, item in sorted(value.items())])
         return f"{{{inner}{body}{newline}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _emit(payload: dict) -> None:
-    print(_render({"schema_version": SCHEMA_VERSION, **payload}), flush=True)
 
 
 def _parse_entitlements(text: str) -> tuple[Fraction, ...]:
@@ -219,11 +215,11 @@ def _cmd_evaluate(args) -> dict:
         "ratio": result.ratio,
         "per_agent": {
             str(agent): {
-                "positions": ev.positions,
-                "ratio": ev.ratio,
-                "binding_valuation": ev.valuation,
+                "positions": wc.positions,
+                "ratio": wc.value,
+                "binding_valuation": wc.valuation,
             }
-            for agent, ev in result.per_agent.items()
+            for agent, wc in result.per_agent.items()
         },
     }
 
@@ -271,14 +267,7 @@ def _cmd_envy(args) -> dict:
 def _cmd_verify(args) -> dict:
     ents = _parse_entitlements(args.entitlements)
     report = entitle.verify_guarantee(ents, trials=args.trials, seed=args.seed, m=args.m)
-    return {
-        "bound": report.bound,
-        "max_adversarial": report.max_adversarial,
-        "max_simulated": report.max_simulated,
-        "trials": report.trials,
-        "order": report.order,
-        "ok": report.ok,
-    }
+    return {**dataclasses.asdict(report), "ok": report.ok}
 
 
 @functools.cache
@@ -372,7 +361,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # Rendering inside the try turns a Fraction too long to print (over
+        # the interpreter's 4300-digit limit) into exit 4 with nothing written.
         payload = args.run(args)
+        text = _render({"schema_version": SCHEMA_VERSION, **payload})
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
@@ -389,7 +381,7 @@ def main(argv=None) -> int:
         print(f"error: invariant broken: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
     try:
-        _emit(payload)
+        print(text, flush=True)
     except BrokenPipeError:
         # The reader closed stdout early. Point the descriptor at devnull so
         # that the flush at interpreter exit cannot fail a second time.

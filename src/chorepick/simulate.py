@@ -27,12 +27,14 @@ boundary where the objective provably cannot peak (the prefix count of J is
 unchanged and the free value only shrinks).
 
 `worst_case_bundle` scans only such candidates: every block boundary of
-both shapes is 0 or a position of J, so a call costs O(|J|^3) plus O(m) for
-the returned valuation, whatever the cap. With budget = P/Q each candidate
-value is a ratio of integers, so the scan compares integer cross products
-and builds Fractions only for the returned value and valuation. Candidates
-are visited in a fixed order and only a strictly larger value replaces the
-best, so the attaining valuation is the first maximiser in that order.
+both shapes is 0 or a position of J, so a call costs O(|J|^3) whatever m
+and the cap. The result keeps the winning blocks, not the valuation: its
+O(m) expansion is built only when it is read. With budget = P/Q each
+candidate value is a ratio of integers, so the scan compares integer cross
+products and builds Fractions only for the returned value and block values.
+Candidates are visited in a fixed order and only a strictly larger value
+replaces the best, so the attaining valuation is the first maximiser in
+that order.
 """
 
 from __future__ import annotations
@@ -100,14 +102,20 @@ def guaranteed_disvalue(costs: Sequence[Fraction], rounds: Iterable[int]) -> Fra
 
 @dataclass(frozen=True)
 class WorstCase:
-    """LP maximum together with a valuation attaining it."""
+    """LP maximum for the chores at ``positions`` among m rounds, with the
+    blocks (a, b, d, mid, tail) of a valuation attaining it: ones on rounds
+    1..a, mid on a+1..b, tail on b+1..d and zeros after d."""
 
+    positions: tuple[int, ...]
     value: Fraction
-    valuation: tuple[Fraction, ...]
+    m: int
+    blocks: tuple[int, int, int, Fraction, Fraction]
 
-
-def _build_valuation(m, a, b, d, mid, tail):
-    return (ONE,) * a + (mid,) * (b - a) + (tail,) * (d - b) + (ZERO,) * (m - d)
+    @property
+    def valuation(self) -> tuple[Fraction, ...]:
+        """Expanded on each read; a cache would keep m Fractions per result."""
+        a, b, d, mid, tail = self.blocks
+        return (ONE,) * a + (mid,) * (b - a) + (tail,) * (d - b) + (ZERO,) * (self.m - d)
 
 
 def worst_case_bundle(positions: Iterable[int], m: int, cap: int,
@@ -126,7 +134,8 @@ def worst_case_bundle(positions: Iterable[int], m: int, cap: int,
     a_cands = [0] + [j for j in J if j <= cap]
     # The best value so far is num/den and `win` holds its blocks as
     # (a, b, d, mid, tail) with mid and tail as (numerator, denominator).
-    num, den, win = 0, 1, None
+    # Only a positive value replaces the all-zero start.
+    num, den, win = 0, 1, (0, 0, 0, (0, 1), (0, 1))
 
     # Shape 1^a (1/2)^(b-a) c^(d-b): candidate boundaries sit on positions of
     # J (elsewhere the objective cannot peak: the prefix count is flat and
@@ -177,11 +186,8 @@ def worst_case_bundle(positions: Iterable[int], m: int, cap: int,
                     if value * den > width * num:
                         num, den, win = value, width, (a, b, d, (xn, width), (1, 2))
 
-    if win is None:
-        return WorstCase(ZERO, tuple([ZERO] * m))
     a, b, d, mid, tail = win
-    return WorstCase(Fraction(num, den),
-                     _build_valuation(m, a, b, d, Fraction(*mid), Fraction(*tail)))
+    return WorstCase(tuple(J), Fraction(num, den), m, (a, b, d, Fraction(*mid), Fraction(*tail)))
 
 
 def worst_case_ratio_cs(positions: Iterable[int], n: int, m: int) -> WorstCase:
@@ -191,30 +197,19 @@ def worst_case_ratio_cs(positions: Iterable[int], n: int, m: int) -> WorstCase:
 
 
 @dataclass(frozen=True)
-class AgentEvaluation:
-    positions: tuple[int, ...]
-    ratio: Fraction
-    valuation: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class OrderEvaluation:
     ratio: Fraction
-    per_agent: dict[int, AgentEvaluation]
+    per_agent: dict[int, WorstCase]
 
     def worst_agent(self) -> int:
-        return max(self.per_agent, key=lambda i: (self.per_agent[i].ratio, -i))
+        return max(self.per_agent, key=lambda i: (self.per_agent[i].value, -i))
 
 
 def evaluate_order(order: PickingOrder, n: int, m: int) -> OrderEvaluation:
     """Worst-case chore-share ratio of an order truncated to m rounds."""
-    per_agent: dict[int, AgentEvaluation] = {}
-    worst = ZERO
-    for agent, J in enumerate(order.positions(m, n), start=1):
-        wc = worst_case_ratio_cs(J, n, m)
-        per_agent[agent] = AgentEvaluation(J, wc.value, wc.valuation)
-        worst = max(worst, wc.value)
-    return OrderEvaluation(worst, per_agent)
+    per_agent = {agent: worst_case_ratio_cs(J, n, m)
+                 for agent, J in enumerate(order.positions(m, n), start=1)}
+    return OrderEvaluation(max((wc.value for wc in per_agent.values()), default=ZERO), per_agent)
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,19 @@ class TestErrorExits:
         assert done.stderr.startswith("error: not a rational") and "exponent" in done.stderr
         assert done.stderr.count("\n") == 1
 
+    def test_unprintable_rational_in_report(self, capsys, tmp_path):
+        # Costs 1/p1 and 1/p2 with coprime 2201-digit p1, p2 parse, but the
+        # proportional share's denominator passes the interpreter's
+        # 4300-digit limit for printing an int.
+        p1, p2 = 10 ** 2200 + 1, 10 ** 2200 + 3
+        row = [f"1/{p1}", f"1/{p2}"]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"agents": 2, "chores": 2, "entitlements": ["1/2", "1/2"],
+                                    "costs": [row, row]}))
+        code, out, err = run(capsys, "shares", "--input", str(path), "--no-mms", "--no-aps")
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:") and "4300" in err
+
     def test_empty_order_file_needs_n(self, capsys, tmp_path):
         path = tmp_path / "order.json"
         path.write_text(json.dumps({"prefix": []}))

@@ -34,6 +34,9 @@ CASES = {
     "evaluate-super8": "evaluate --order super8 --m 48",
     "evaluate-file-cycle": "evaluate --order @order_cycle.json --m 25",
     "evaluate-file-assignment": "evaluate --order @order_assignment.json --m 10 --n 3",
+    # Empty witnesses: agent 3 holds no round, and m = 0 holds none at all.
+    "evaluate-agent-without-rounds": "evaluate --order 12:12 --m 5 --n 3",
+    "evaluate-no-rounds": "evaluate --order n2 --m 0",
     "envy-suffix-fails": "envy --seq 1,1,2 --check-suffix 1 2",
     "envy-suffix-holds": "envy --seq 1,2,3,3,2,1,2 --check-suffix 1 2",
     "envy-tension": "envy --tension-example 4",

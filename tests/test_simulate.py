@@ -1,13 +1,16 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorepick.model import ChoreInstance, PickingOrder, PickingSequence, to_sequence
+from chorepick.ridge import covering_test, ridge_periods, synthesize_order
 from chorepick.shares import chore_share, mms_oracle
-from chorepick.simulate import (RidgeDeviation, WorstCase, evaluate_order, greedy_play,
+from chorepick.simulate import (RidgeDeviation, evaluate_order, greedy_play,
                                 guaranteed_disvalue, nonridge_witness,
                                 worst_case_bundle, worst_case_ratio_cs)
 
@@ -83,6 +86,13 @@ def _lp_oracle(positions, m, cap, budget):
 ZERO, HALF, ONE = F(0), F(1, 2), F(1)
 
 
+class _Reference(NamedTuple):
+    """The reference enumerator's result: a value and its expanded valuation."""
+
+    value: F
+    valuation: tuple
+
+
 def _reference_valuation(m, a, b, d, mid, tail):
     out = [ZERO] * m
     for j in range(a):
@@ -101,7 +111,7 @@ def _reference_worst_case(positions, m, cap, budget):
     if any(not 1 <= j <= m for j in J):
         raise ValueError(f"positions must lie in 1..{m}")
     if not J or m == 0:
-        return WorstCase(ZERO, tuple([ZERO] * m))
+        return _Reference(ZERO, tuple([ZERO] * m))
     budget = F(budget)
     cap = min(cap, m)
 
@@ -111,13 +121,13 @@ def _reference_worst_case(positions, m, cap, budget):
     for d in range(1, m + 1):
         count[d] += count[d - 1]
 
-    best = WorstCase(ZERO, tuple([ZERO] * m))
+    best = _Reference(ZERO, tuple([ZERO] * m))
     a_cands = [0] + [j for j in J if j <= cap]
 
     def offer(value, a, b, d, mid, tail):
         nonlocal best
         if value > best.value:
-            best = WorstCase(value, _reference_valuation(m, a, b, d, mid, tail))
+            best = _Reference(value, _reference_valuation(m, a, b, d, mid, tail))
 
     # Shape 1^a (1/2)^(b-a) c^(d-b).
     for a in a_cands:
@@ -233,6 +243,7 @@ class TestWorstCase:
         mine = worst_case_bundle(*case)
         ref = _reference_worst_case(*case)
         assert (mine.value, mine.valuation) == (ref.value, ref.valuation)
+        assert mine.positions == tuple(sorted(set(case[0])))
         assert type(mine.value) is F
         assert all(type(v) is F for v in mine.valuation)
 
@@ -277,7 +288,21 @@ class TestEvaluateOrder:
 
     def test_breakdown_names_the_binding_agent(self):
         ev = evaluate_order(PickingOrder((1, 2, 2, 1), (2, 2, 1)), 2, 10)
-        assert ev.per_agent[ev.worst_agent()].ratio == ev.ratio
+        assert ev.per_agent[ev.worst_agent()].value == ev.ratio
+
+    def test_keeps_witnesses_not_valuations(self):
+        # An m-long valuation per agent would take O(n*m) memory: 65 MiB here.
+        sched = ridge_periods(512, F(1543, 1000), "super")
+        m = covering_test(sched).horizon
+        order = synthesize_order(sched, m)
+        tracemalloc.start()
+        try:
+            ev = evaluate_order(order, 512, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m, ev.ratio) == (16491, F(128, 83))
+        assert peak < 4 * 2 ** 20
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 3), st.integers(4, 9), st.randoms(), st.integers(0, 10 ** 6))
@@ -296,7 +321,7 @@ class TestEvaluateOrder:
             if cs == 0:
                 continue
             held = inst.bundle_cost(i, played.bundle(i))
-            assert held / cs <= ev.per_agent[i].ratio
+            assert held / cs <= ev.per_agent[i].value
 
 
 def _all_orders(n, m):
