@@ -39,10 +39,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .model import ChoreInstance, PickingOrder, guard_cells, invariant, to_sequence
-from .ridge import bisect_root
+from .ridge import ROOT_START, ln_bounds, root_bracket
 from .shares import chore_share
 from .simulate import greedy_play, worst_case_bundle
 
@@ -51,19 +52,25 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 #: Production scaling parameter: smallest three-decimal t whose scaling
-#: family still integrates to at least 1 (root near 1.46596).
+#: family still integrates to at least 1 (the root is in [1.465941, 1.465942]).
 DEFAULT_T = Fraction(1466, 1000)
 
 
-def scaling_margin(t: float) -> float:
-    """Integral of the scaling family minus 1; the family is usable iff >= 0."""
-    return (1 - t) * math.log(1 - 1 / t) + t - 2
+def scaling_margin(t: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Bounds on the scaling family's integral minus 1 at t in (1, 2],
+    (t-1) ln(t/(t-1)) + t - 2; the family is usable iff it is >= 0."""
+    low, high = ln_bounds(Fraction(t) / (t - 1), terms)
+    return (t - 1) * low + t - 2, (t - 1) * high + t - 2
 
 
-def solve_t(tol: float = 1e-6) -> float:
-    """Smallest usable scaling parameter, by bisection on the unit-integral
-    condition; the guaranteed ratio is then 1 + t/2 (~1.733)."""
-    return bisect_root(scaling_margin, 1.4, 1.6, tol)
+def solve_t() -> tuple[Fraction, Fraction]:
+    """A bracket on the smallest usable scaling parameter t; the guaranteed
+    ratio is then 1 + t/2 (~1.733).
+
+    >>> solve_t()
+    (Fraction(1465941, 1000000), Fraction(732971, 500000))
+    """
+    return root_bracket(scaling_margin, *ROOT_START)
 
 
 @dataclass(frozen=True)
@@ -83,10 +90,6 @@ class ScalingFunction:
         if x * self.t >= 1:  # where the two pieces meet, and s(1) = t even at t = 1
             return self.t
         return (self.t - 1) / (1 - x)
-
-    @property
-    def cap(self) -> Fraction:
-        return self.t
 
     @property
     def guaranteed_ratio(self) -> Fraction:
@@ -115,20 +118,13 @@ class FractionalAllocation:
     def columns(self) -> int:
         return len(self.shares[0]) if self.shares else 0
 
-    def column_sum(self, j: int) -> Fraction:
-        return sum((row[j - 1] for row in self.shares), ZERO)
-
 
 def _column_sums(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    cols = len(matrix[0])
-    return [sum((row[j] for row in matrix), ZERO) for j in range(cols)]
+    return [sum(column, ZERO) for column in zip(*matrix)]
 
 
 def _first_fractional(row: Sequence[Fraction]) -> int | None:
-    for j, a in enumerate(row, start=1):
-        if 0 < a < 1:
-            return j
-    return None
+    return next((j for j, a in enumerate(row, start=1) if 0 < a < 1), None)
 
 
 def _trim_target(scaled_shares: list[Fraction]) -> list[Fraction]:
@@ -137,14 +133,11 @@ def _trim_target(scaled_shares: list[Fraction]) -> list[Fraction]:
     target = list(scaled_shares)
     total = sum(target, ZERO)
     invariant(total >= 1, "scaling family must not shrink total mass below 1")
-    while True:
-        positive = [(g, i) for i, g in enumerate(target) if g > 0]
-        g_min, i_min = min(positive)
-        if total - g_min >= 1:
-            target[i_min] = ZERO
-            total -= g_min
-        else:
+    for g, i in sorted((g, i) for i, g in enumerate(target) if g > 0):
+        if total - g < 1:
             break
+        target[i] = ZERO
+        total -= g
     if total > 1:
         top = max(i for i, g in enumerate(target) if g > 0)
         target[top] -= total - 1
@@ -195,11 +188,7 @@ def build_fractional(entitlements: Sequence[Fraction],
     n = len(b_orig)
     order = sorted(range(n), key=lambda i: (b_orig[i], i))
     b = [b_orig[i] for i in order]
-    prefix_mass = []
-    acc = ZERO
-    for bi in b:
-        acc += bi
-        prefix_mass.append(acc)
+    prefix_mass = list(accumulate(b))
 
     need = math.ceil(1 / b[0])
     cols = max(m, n, need)
@@ -218,7 +207,6 @@ def build_fractional(entitlements: Sequence[Fraction],
             remaining -= take
             j += 1
         invariant(j == math.ceil(1 / b[i]), "a unit release must touch ceil(1/b) chores")
-    for i in range(n):
         giveup[i][i] += ONE
 
     sums = _column_sums(giveup)

@@ -60,10 +60,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain, count, zip_longest
 from typing import Iterable, Sequence
 
-from .model import InstanceError, PickingOrder, SizeGuardError
+from .model import InstanceError, PickingOrder, SizeGuardError, invariant
 
 EXACT_RATIO_LIMIT = 128
 RATE_SCALE = 1 << 64   # fixed-point scale of the certified covering bounds
@@ -71,6 +71,8 @@ RATE_SCALE = 1 << 64   # fixed-point scale of the certified covering bounds
 # n = 16384 tests scan to K* = 197,603 rounds at rho < 1.6.
 SCAN_LIMIT = 1 << 24
 SEARCH_LO, SEARCH_HI = Fraction(101, 100), Fraction(2)  # best_ratio_search bracket
+ROOT_WIDTH = Fraction(1, 10 ** 6)   # scalar root brackets start 2^17 widths wide
+ROOT_START = (Fraction(7, 5), Fraction(7, 5) + (1 << 17) * ROOT_WIDTH)
 
 
 class CoveringViolation(RuntimeError):
@@ -435,10 +437,6 @@ class HalvedSchedule:
     failing_k: int | None
     domination_violations: tuple[tuple[int, int], ...]
 
-    @property
-    def covering_ok(self) -> bool:
-        return self.failing_k is None
-
 
 def covering_of_lists(lists: Iterable[Sequence[int]], upto: int) -> int | None:
     """Smallest k <= upto where fewer than k list entries are <= k, or None.
@@ -499,45 +497,59 @@ def halve_thresholds(sched: ThresholdSchedule, horizon: int) -> HalvedSchedule:
 
 
 def _halve(lo, hi, tol, side):
-    """Halve [lo, hi] to at most tol wide; side(mid) < 0, > 0 or == 0 puts
-    the target above, below or at mid. Adjacent float ends also stop it."""
+    """Halve [lo, hi] to at most tol wide; side(mid) < 0 puts the target above mid."""
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        s = side(mid)
-        if s == 0 or mid in (lo, hi):
-            return mid, mid
-        lo, hi = (mid, hi) if s < 0 else (lo, mid)
+        lo, hi = (mid, hi) if side(mid) < 0 else (lo, mid)
     return lo, hi
 
 
-def bisect_root(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f on [lo, hi], where f changes sign, to within tol."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo < 0) == (fhi < 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    lo, hi = _halve(lo, hi, tol, f if flo < 0 else lambda x: -f(x))
-    return (lo + hi) / 2
+def ln_bounds(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Rational bounds lo <= ln x <= hi for a rational x > 0, from ``terms``
+    terms of ln x = 2(y + y^3/3 + y^5/5 + ...), y = (x-1)/(x+1). Each later
+    term is at most the first one left out, 2|y|^(2 terms+1)/(2 terms+1),
+    times a power of y^2 < 1, so the rest is at most that over 1 - y^2."""
+    y = (Fraction(x) - 1) / (x + 1)
+    y2, power, total = y * y, 2 * y, Fraction(0)
+    for k in range(terms):
+        total += power / (2 * k + 1)
+        power *= y2
+    rest = abs(power) / ((2 * terms + 1) * (1 - y2))
+    return total - rest, total + rest
 
 
-def ridge_rate_margin(rho: float) -> float:
-    """Asymptotic covering-rate surplus of the period family at ratio rho.
+def root_bracket(margin, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """A bracket ROOT_WIDTH wide on the root of a margin rising through 0 on
+    [lo, hi]. margin(x, terms) bounds it at x, and each midpoint doubles the
+    terms until both bounds share a sign. For both margins here that ends:
+    each is (x-1) ln q + r with rationals q != 1 and r, and ln of a rational
+    other than 1 is irrational, so neither is 0 at a rational x."""
+    def side(x: Fraction) -> int:
+        bounds = (margin(x, 1 << k) for k in count(2))   # 4, 8, 16, ... terms
+        low, high = next((low, high) for low, high in bounds if low > 0 or high < 0)
+        return 1 if low > 0 else -1
 
-    Approximating the rate sum by its integral over agent fractions yields
-    (rho-1)ln(rho/(rho-1)) + 2rho - 3 + 2(rho-1)ln(rho/(2(rho-1))); the family
-    covers asymptotically iff this reaches 1.
+    invariant(side(lo) < 0 < side(hi), f"the margin does not rise through 0 on [{lo}, {hi}]")
+    return _halve(lo, hi, ROOT_WIDTH, side)
+
+
+def ridge_rate_margin(rho: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Bounds on the asymptotic covering-rate surplus of the period family at
+    rho in (1, 2). The rate sum's integral over agent fractions,
+    (rho-1)ln(rho/(rho-1)) + 2rho - 3 + 2(rho-1)ln(rho/(2(rho-1))), must reach
+    1; less 1 it is (rho-1)ln(rho^3/(4(rho-1)^3)) + 2rho - 4."""
+    low, high = ln_bounds(Fraction(rho) ** 3 / (4 * (rho - 1) ** 3), terms)
+    return (rho - 1) * low + 2 * rho - 4, (rho - 1) * high + 2 * rho - 4
+
+
+def solve_rho_star() -> tuple[Fraction, Fraction]:
+    """A bracket on the smallest asymptotically coverable ratio of the period
+    family, which is also the large-n lower bound for ridge orders.
+
+    >>> solve_rho_star()
+    (Fraction(1524079, 1000000), Fraction(19051, 12500))
     """
-    return ((rho - 1) * math.log(rho / (rho - 1)) + 2 * rho - 3
-            + 2 * (rho - 1) * math.log(rho / (2 * (rho - 1))) - 1)
-
-
-def solve_rho_star(tol: float = 1e-6) -> float:
-    """Smallest asymptotically coverable ratio for the period family (~1.52408),
-    which is also the large-n lower bound for ridge orders."""
-    return bisect_root(ridge_rate_margin, 1.4, 1.6, tol)
+    return root_bracket(ridge_rate_margin, *ROOT_START)
 
 
 def best_ratio_search(n: int, mode: str = "agent",

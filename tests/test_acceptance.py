@@ -72,13 +72,21 @@ def test_criterion_03_small_covering_failure():
 
 
 def test_criterion_04_root_solvers():
-    t = solve_t()
-    rho_star = solve_rho_star()
-    ratio = 1 + t / 2
-    ok = (abs(t - 1.466) < 1e-3 and abs(ratio - 1.733) < 5e-4
-          and abs(rho_star - 1.52408) < 5e-4)
-    report("criterion 4: scalar roots (t, 1+t/2, asymptotic floor)",
-           ok, f"t={t:.6f}, 1+t/2={ratio:.6f}, floor={rho_star:.6f}")
+    # Proven rational brackets, compared exactly: no float enters.
+    start = time.perf_counter()
+    t_lo, t_hi = solve_t()
+    t_time = time.perf_counter() - start
+    start = time.perf_counter()
+    rho_lo, rho_hi = solve_rho_star()
+    rho_time = time.perf_counter() - start
+    width = F(1, 10 ** 6)
+    ok = (F(1465, 1000) < t_lo <= t_hi < F(1466, 1000) and t_hi - t_lo <= width
+          and 1 + t_hi / 2 < F(1733, 1000)
+          and F(1524, 1000) < rho_lo <= rho_hi < F(15241, 10000) and rho_hi - rho_lo <= width
+          and t_time < 0.5 and rho_time < 0.5)
+    report("criterion 4: scalar root brackets (t, 1+t/2, asymptotic floor), <0.5s each",
+           ok, f"t in [{t_lo}, {t_hi}] ({t_time:.3f}s), 1+t/2 < {1 + t_hi / 2}, "
+               f"floor in [{rho_lo}, {rho_hi}] ({rho_time:.3f}s)")
 
 
 def test_criterion_05_arbitrary_entitlement_guarantee():
@@ -186,7 +194,7 @@ def test_criterion_09_halving_transform():
         if not verdict.ok:
             continue
         halved = halve_thresholds(sched, verdict.horizon)
-        if not halved.covering_ok:
+        if halved.failing_k is not None:
             ok = False
         done += 1
     report("criterion 9: 100 halved covering-valid schedules stay covering-valid", ok,
@@ -268,3 +276,41 @@ def test_criterion_12_closed_loop_at_paper_n():
               and ratio == target and ratio <= rho and elapsed < 10.0)
     report("criterion 12: covering -> synthesis -> exact evaluation at the paper's n, <10s each",
            ok, "; ".join(details))
+
+
+# Every n <= 1024 at which super mode at rho = 1543/1000 fails covering.
+SUPER_1543_FAILURES = (
+    2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26,
+    28, 29, 30, 31, 33, 34, 35, 36, 38, 39, 41, 42, 43, 44, 46, 48, 49, 51, 53, 56, 58, 61, 63,
+    66, 68, 70, 71, 73, 75, 76, 78, 80, 83, 85, 88, 90, 93, 95, 98, 100, 103, 105, 107, 110,
+    112, 115, 117, 120, 122, 125, 127, 130, 132, 137, 139, 142, 144, 147, 149, 152, 154, 159,
+    164, 169, 171, 174, 176, 179, 181, 186, 191, 196, 201, 206, 208, 213, 218, 223, 228, 233,
+    240, 245, 250, 255, 260, 272, 277, 282, 287, 309)
+
+
+def test_criterion_13_every_n_covering_certificates():
+    # Each verdict is a proof (pass or a refuting round), never inconclusive.
+    def failures(rho, mode):
+        verdicts = [covering_test(ridge_periods(n, rho, mode)) for n in range(1, 1025)]
+        return verdicts, tuple(n for n, v in enumerate(verdicts, start=1) if v.status == "fail")
+
+    start = time.perf_counter()
+    sweeps = {(rho, mode): failures(rho, mode)
+              for rho, mode in ((F(8, 5), "agent"), (F(1543, 1000), "agent"),
+                                (F(1543, 1000), "super"))}
+    decided = all(v.status in ("pass", "fail") for verdicts, _ in sweeps.values() for v in verdicts)
+    super_fails = sweeps[F(1543, 1000), "super"][1]
+    boundaries = [covering_test(ridge_periods(n, rho, mode))
+                  for n, rho, mode in ((309, F(1543, 1000), "super"), (310, F(1543, 1000), "super"),
+                                       (701, F(771, 500), "agent"), (702, F(771, 500), "agent"))]
+    elapsed = time.perf_counter() - start
+    ok = (decided and sweeps[F(8, 5), "agent"][1] == () and sweeps[F(1543, 1000), "agent"][1] == ()
+          and super_fails == SUPER_1543_FAILURES
+          and [(v.status, v.failing_k) for v in boundaries]
+          == [("fail", 801), ("pass", None), ("pass", None), ("fail", 1821)]
+          and elapsed < 10.0)
+    report("criterion 13: every-n covering certificates for n <= 1024, <10s", ok,
+           f"8/5 agent and 1543/1000 agent pass at every n; 1543/1000 super fails at "
+           f"{len(super_fails)} n, the largest {max(super_fails)}; "
+           f"309/310 super and 701/702 at 771/500 agent: "
+           f"{[(v.status, v.failing_k) for v in boundaries]}; {elapsed:.1f}s")

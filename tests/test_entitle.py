@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chorepick.entitle import (DEFAULT_T, FractionalAllocation, ScalingFunction,
                                build_fractional, half_plus_x, round_to_order,
-                               solve_t, verify_guarantee)
+                               scaling_margin, solve_t, verify_guarantee)
 from chorepick.model import ChoreInstance, to_sequence
 from chorepick.simulate import greedy_play
 
@@ -24,12 +24,13 @@ def entitlement_vectors(rng, count, max_n=8):
 
 class TestScaling:
     def test_root_location(self):
-        assert abs(solve_t() - 1.466) < 1e-3
+        assert solve_t() == (F(1465941, 10 ** 6), F(1465942, 10 ** 6))
 
     def test_default_parameter_is_usable(self):
-        # The unit-integral condition holds at the shipped three-decimal t.
-        t = float(DEFAULT_T)
-        assert (1 - t) * math.log(1 - 1 / t) + t - 1 >= 1
+        # DEFAULT_T is the smallest three-decimal t: the unit-integral
+        # condition fails at 1465/1000 and holds at 1466/1000, both proved.
+        assert scaling_margin(F(1465, 1000), 8)[1] < 0
+        assert DEFAULT_T == F(1466, 1000) and scaling_margin(DEFAULT_T, 8)[0] > 0
 
     def test_guaranteed_ratio(self):
         s = ScalingFunction()
@@ -38,7 +39,7 @@ class TestScaling:
 
     def test_shape_conditions_on_a_grid(self):
         s = ScalingFunction()
-        cap = s.cap
+        cap = s.t
         points = [F(k, 97) for k in range(98)] + [F(0), F(1), 1 / s.t]
         last = None
         for x in sorted(points):
@@ -101,7 +102,7 @@ class TestPipelineFixtures:
         b = [F(1, 8), F(3, 8), F(1, 2)]
         p = build_fractional(b, ScalingFunction(), 12)
         for j in range(1, p.final.columns + 1):
-            assert p.final.column_sum(j) == 1
+            assert sum(row[j - 1] for row in p.final.shares) == 1
         for i, first in enumerate(p.final.first_fractional):
             floor_slot = max(3, math.floor(1 / b[i]))
             assert first is None or first > floor_slot
@@ -121,7 +122,7 @@ class TestPipelineFixtures:
             for j in range(p.columns):
                 assert sum(stage[i][j] for i in range(n)) == 1
         for j in range(1, p.final.columns + 1):
-            assert p.final.column_sum(j) == 1
+            assert sum(row[j - 1] for row in p.final.shares) == 1
         # no column starves after scaling
         for j in range(n, p.columns):
             assert sum(p.scaled[i][j] for i in range(n)) >= 1
