@@ -136,8 +136,9 @@ def _cmd_gen(args) -> dict:
     guard_cells(n, {"random": args.m, "tension": (n - 2) * n + 1}.get(args.kind, 2 * n + 1),
                 "the instance")
     if args.kind == "random":
-        if args.m < 0:
-            raise InstanceError(f"chore count must be nonnegative, got m = {args.m}")
+        if min(args.m, args.max_cost) < 0:
+            raise InstanceError(f"--m and --max-cost must be nonnegative, "
+                                f"got m = {args.m}, max-cost = {args.max_cost}")
         rng = random.Random(args.seed)
         rows = tuple(
             tuple(sorted((Fraction(rng.randint(0, args.max_cost)) for _ in range(args.m)),

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import CELL_LIMIT, ChoreInstance, PickingSequence, SizeGuardError
-from .simulate import _greedy_picks, guaranteed_disvalue
+from .simulate import _greedy_picks, check_rounds, guaranteed_disvalue
 
 ZERO = Fraction(0)
 
@@ -73,8 +73,9 @@ def suffix_envy_condition(seq: PickingSequence, i: int, j: int) -> SuffixEnvyRes
 def label_guarantees(seq: PickingSequence, costs: Sequence[Fraction],
                      n: int) -> dict[int, Fraction]:
     """Guarantee of each label's round set under one agent's costs."""
-    return {label: guaranteed_disvalue(costs, rounds)
-            for label, rounds in enumerate(seq.positions(n), start=1)}
+    held = seq.positions(n)   # refuses a label outside 1..n first
+    check_rounds(seq, len(costs))
+    return dict(enumerate((guaranteed_disvalue(costs, rounds) for rounds in held), start=1))
 
 
 def _greedy_label_order(guarantees, agent_order):
@@ -99,11 +100,11 @@ def preliminary_stage(mode: str, seq: PickingSequence,
         raise ValueError(f"unknown stage mode {mode!r}; choose from {STAGE_MODES}")
     n = len(cost_rows)
     rng = random.Random(seed)
+    guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
     if mode == "random_bijection":
         labels = list(range(1, n + 1))
         rng.shuffle(labels)
         return {agent: labels[agent - 1] for agent in range(1, n + 1)}
-    guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
     if mode == "label_pick":
         agents = list(range(1, n + 1))
         rng.shuffle(agents)
@@ -229,11 +230,9 @@ def envy_tension_example(n: int, seq: PickingSequence | None = None) -> TensionE
         raise SizeGuardError(f"the tension example: {m} chores exceed the guard of {CELL_LIMIT}")
     ents = (Fraction(k + 1, m),) + tuple(Fraction(k, m) for _ in range(n - 1))
     heavy = (Fraction(k),) + tuple(Fraction(1) for _ in range(m - 1))
-    suffix = None
-    guarantee = None
+    suffix = guarantee = None
     if seq is not None:
-        if len(seq.rounds) != m:
-            raise ValueError(f"sequence must cover {m} rounds")
+        check_rounds(seq, m)
         guarantee = guaranteed_disvalue(heavy, seq.positions(n)[0])
         suffix = {q: suffix_envy_condition(seq, q, 1).holds for q in range(2, n + 1)}
     return TensionExample(

@@ -20,7 +20,7 @@ against the chore share: n/rho for class 0, (n-i)/(rho-1) for class 1 and
 representative (first member for early blocks, last member for late
 blocks), giving (n-i+1)/(rho-1) and i/(2(rho-1)) instead. Each class test
 is monotone in i (class 1 holds below one cut, class 2 above another), so
-the classes run 1...1 0...0 2...2 and every reader walks the three runs.
+the classes run 1...1 0...0 2...2 and a schedule is its two cuts.
 
 An order exists iff the thresholds *cover* every round: at least k
 thresholds of value <= k for every k. Failing any finite k refutes the
@@ -29,11 +29,11 @@ r = sum 1/p(i) exceeds 1: every round past a finite K* is then covered
 automatically, so only a finite scan is needed. At r <= 1 a clean scan is
 reported as inconclusive.
 
-Schedules and thresholds are integer-exact. With rho = a/c, the two cuts
-are integer floor divisions, and every period is kept as the integer pair
-(num, den) it is computed as; step k of a period lands on
-base + ceil(k*num/den), computed by integer division. The Fractions of
-``ThresholdSchedule.periods`` are built only when first read.
+Schedules and thresholds are integer-exact. With rho = a/c the cuts are
+floor divisions, and within a run the bases and period numerators are
+arithmetic in i over one denominator, so readers walk the runs and no
+per-agent state is stored. Step k of a period num/den lands on
+base + ceil(k*num/den), computed by integer division.
 
 The covering scan counts in one pass over the agents: each threshold is
 added straight into one count array indexed by round, and the class-0
@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, zip_longest
+from itertools import chain, count, repeat, zip_longest
 from typing import Iterable, Sequence
 
 from .model import InstanceError, PickingOrder, SizeGuardError, invariant
@@ -79,38 +79,46 @@ class CoveringViolation(RuntimeError):
     """Order synthesis got stuck: the schedule cannot cover some round."""
 
 
+def _steps(*runs: tuple) -> Iterable[tuple[int, int, int]]:
+    """(base, num, den) of each agent of the runs, in order, stepped arithmetically."""
+    return chain.from_iterable(
+        zip(count(base + base_step * agents.start, base_step),
+            count(num + num_step * agents.start, num_step), repeat(den, len(agents)))
+        for agents, base, base_step, num, num_step, den in runs)
+
+
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """Per-agent class, exact period, and generated release thresholds.
-
-    Agent i's period is period_pairs[i-1] = (num, den), the value num/den,
-    not necessarily in lowest terms. One rule gives every threshold: agent i
-    of class c has base (0, i, 2n+1-i)[c], and its t-th threshold is step
-    t-c, base + ceil((t-c)*num/den), except that a class-2 agent's first
-    threshold is i itself. The classes run 1...1 0...0 2...2, because each
-    class test is monotone in i, so two cuts (``cuts``) describe them."""
+    """Two cuts: agents 1..early are class 1, early+1..late class 0 and the
+    rest class 2. No per-agent state is stored (see ``runs`` and ``_nth``)."""
 
     n: int
     rho: Fraction
     mode: str
-    classes: tuple[int, ...]
-    period_pairs: tuple[tuple[int, int], ...]
+    early: int
+    late: int
 
     @cached_property
-    def cuts(self) -> tuple[int, int]:
-        """(early, late): classes 1, 0 and 2 hold agents ..early, ..late and the rest."""
-        return self.classes.count(1), self.n - self.classes.count(2)
+    def runs(self) -> tuple[tuple, tuple, tuple]:
+        """The class-1, class-0 and class-2 runs, each (agents, base, base_step,
+        num, num_step, den): agent i has base base + base_step*i and period
+        (num + num_step*i)/den, which with rho = a/c, gap = a - c and s = 1 in
+        super mode (else 0) is (n-i+s)c/gap, nc/a and (i-1+s)c/(2 gap)."""
+        n, early, late = self.n, self.early, self.late
+        a, c, s = self.rho.numerator, self.rho.denominator, int(self.mode == "super")
+        return ((range(1, early + 1), 0, 1, (n + s) * c, -c, a - c),
+                (range(early + 1, late + 1), 0, 0, n * c, 0, a),
+                (range(late + 1, n + 1), 2 * n + 1, -1, (s - 1) * c, c, 2 * (a - c)))
+
+    @cached_property
+    def classes(self) -> tuple[int, ...]:
+        """Each agent's class, built on first read."""
+        return (1,) * self.early + (0,) * (self.late - self.early) + (2,) * (self.n - self.late)
 
     @cached_property
     def periods(self) -> tuple[Fraction, ...]:
         """The periods as Fractions, built on first read."""
-        return tuple(Fraction(num, den) for num, den in self.period_pairs)
-
-    @cached_property
-    def bases(self) -> tuple[int, ...]:
-        """Each agent's base (0, i, 2n+1-i)[c], built on first read."""
-        early, late = self.cuts
-        return (*range(1, early + 1), *(0,) * (late - early), *range(2 * self.n - late, self.n, -1))
+        return tuple(Fraction(num, den) for _, num, den in _steps(*self.runs))
 
     @cached_property
     def ridge_violations(self) -> tuple[int, ...]:
@@ -120,14 +128,8 @@ class ThresholdSchedule:
         p = n/rho <= i and 2p <= 2n+1-i in both modes (the class tests), so
         ceil(p) <= i and ceil(2p) <= 2n+1-i."""
         nth, last = self._nth, 2 * self.n + 1
-        return tuple(i for i, (num, den) in zip(range(1, self.cuts[0] + 1), self.period_pairs)
+        return tuple(i for i, num, den in _steps(self.runs[0])   # a class-1 base is i
                      if nth(i, 1, i, num, den, 2) > last - i)
-
-    def stepped(self) -> Iterable[tuple[int, tuple[int, int]]]:
-        """(base, (num, den)) of the class-1 run, then the class-2 run: base > 0."""
-        early, late = self.cuts
-        bases, pairs = self.bases, self.period_pairs
-        return chain(zip(bases[:early], pairs), zip(bases[late:], pairs[late:]))
 
     @property
     def ridge_ok(self) -> bool:
@@ -140,16 +142,21 @@ class ThresholdSchedule:
             return agent
         return base - (-(t - cls) * num // den)
 
+    def _agent(self, agent: int) -> tuple[int, int, int, int]:
+        """(class, base, num, den) of one agent, read off its run."""
+        for cls, (agents, base, base_step, num, num_step, den) in zip((1, 0, 2), self.runs):
+            if agent in agents:
+                return cls, base + base_step * agent, num + num_step * agent, den
+        raise IndexError(f"agent {agent} is out of range 1..{self.n}")
+
     def threshold(self, agent: int, t: int) -> int:
         """The t-th (1-based) release threshold of an agent."""
-        num, den = self.period_pairs[agent - 1]
-        return self._nth(agent, self.classes[agent - 1], self.bases[agent - 1], num, den, t)
+        return self._nth(agent, *self._agent(agent), t)
 
     def thresholds_upto(self, agent: int, horizon: int) -> list[int]:
         """All thresholds of an agent with value <= horizon, in order."""
-        first = [agent] if self.classes[agent - 1] == 2 and agent <= horizon else []
-        base = self.bases[agent - 1]
-        num, den = self.period_pairs[agent - 1]
+        cls, base, num, den = self._agent(agent)
+        first = [agent] if cls == 2 and agent <= horizon else []
         # Step k lands on base - (-k*num // den), which is <= horizon iff
         # k*num <= (horizon - base)*den; step 0 of a class-0 agent is round 0.
         return [*first, *[base - (-x // den)
@@ -157,16 +164,15 @@ class ThresholdSchedule:
 
 
 def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedule:
-    """Classes and periods for n agents at target ratio rho.
+    """The schedule for n agents at target ratio rho.
 
     With rho = a/c each class test is an integer cross-multiplication that
     holds below or above one cut in i, so the cuts are two floor divisions.
-    Every period is one integer pair (num, den).
 
     >>> from fractions import Fraction as F
     >>> sched = ridge_periods(4, F(10, 7))
-    >>> sched.classes
-    (1, 1, 0, 2)
+    >>> sched.early, sched.late, sched.classes
+    (2, 3, (1, 1, 0, 2))
     >>> sched.periods
     (Fraction(7, 1), Fraction(14, 3), Fraction(14, 5), Fraction(7, 2))
     """
@@ -184,15 +190,11 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
     gap, nc = a - c, n * c           # rho - 1 = gap/c, and n/rho = nc/a
     if mode == "agent":   # class 1 iff i*a < nc, else class 2 iff i*a > (2n+1)a - 2nc
         early = min(n, (nc - 1) // a)
-        late, shift = max(early, min(n, ((2 * n + 1) * a - 2 * nc) // a)), 0
+        late = max(early, min(n, ((2 * n + 1) * a - 2 * nc) // a))
     else:   # a block is late iff its last member is (i*a > 2n*gap), else early
         late = min(n, 2 * n * gap // a)   # iff its first member is ((i-1)*a < nc)
-        early, shift = min(late, (nc - 1) // a + 1), 1
-    pairs = ([((n - i + shift) * c, gap) for i in range(1, early + 1)]
-             + [(nc, a)] * (late - early)
-             + [((i - 1 + shift) * c, 2 * gap) for i in range(late + 1, n + 1)])
-    classes = (1,) * early + (0,) * (late - early) + (2,) * (n - late)
-    return ThresholdSchedule(n, rho, mode, classes, tuple(pairs))
+        early = min(late, (nc - 1) // a + 1)
+    return ThresholdSchedule(n, rho, mode, early, late)
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ class CoveringVerdict:
 
 def exact_rate(sched: ThresholdSchedule) -> Fraction:
     """The covering ratio r = sum 1/p(i) as one Fraction."""
-    return sum((Fraction(den, num) for num, den in sched.period_pairs), Fraction(0))
+    return sum((Fraction(den, num) for _, num, den in _steps(*sched.runs)), Fraction(0))
 
 
 def covering_ratio(sched: ThresholdSchedule) -> tuple[float, Fraction | None]:
@@ -229,7 +231,7 @@ def covering_ratio(sched: ThresholdSchedule) -> tuple[float, Fraction | None]:
         if sched.n <= EXACT_RATIO_LIMIT:
             exact = exact_rate(sched)
             return float(exact), exact
-        return math.fsum(den / num for num, den in sched.period_pairs), None
+        return math.fsum(den / num for _, num, den in _steps(*sched.runs)), None
     except OverflowError:
         raise ValueError("the covering ratio overflows a float; "
                          "the target ratio is too large") from None
@@ -251,15 +253,14 @@ def certified_cutoff(sched: ThresholdSchedule,
     """
     # scale * (B-1) <= scale * (n - sum(c_i) - 1) + sum(base_i * ceil(scale/p_i)).
     # The class-0 run adds nothing to it and shares one period: one rate term.
-    n, (early, late) = sched.n, sched.cuts
+    n, early, late = sched.n, sched.early, sched.late
     rate_low, slack_high = 0, scale * (2 * late - n - early - 1)
-    for base, (num, den) in sched.stepped():
+    for base, num, den in _steps(*sched.runs[::2]):   # class 1, then 2
         q, rem = divmod(scale * den, num)
         rate_low += q
         slack_high += base * (q + (rem > 0))
-    if late > early:
-        num, den = sched.period_pairs[early]
-        rate_low += (late - early) * (scale * den // num)
+    zero, _, _, num, _, den = sched.runs[1]
+    rate_low += len(zero) * (scale * den // num)
     if rate_low <= scale:
         return rate_low, None
     return rate_low, max(2 * n, -(-slack_high // (rate_low - scale)))
@@ -281,18 +282,15 @@ def threshold_counts(sched: ThresholdSchedule, upto: int) -> list[int]:
     the class-0 run's shared steps are added once, weighted by its length."""
     _guard_scan(sched, upto)
     counts = [0] * (upto + 1)
-    n, (early, late) = sched.n, sched.cuts
-    for agent in range(late + 1, min(n, upto) + 1):   # the class-2 first thresholds
+    for agent in range(sched.late + 1, min(sched.n, upto) + 1):   # class-2 first thresholds
         counts[agent] += 1
-    for base, (num, den) in sched.stepped():
-        # Step k lands on base + ceil(k*num/den) = base - (-k*num // den),
-        # which is <= upto iff k*num <= (upto - base)*den.
+    for base, num, den in _steps(*sched.runs[::2]):   # class 1, then 2
+        # Step k lands on base - (-k*num // den) <= upto iff k*num <= (upto - base)*den.
         for x in range(0, (base - upto) * den - 1, -num):
             counts[base - x // den] += 1
-    if late > early:
-        num, den = sched.period_pairs[early]
-        for x in range(-num, -upto * den - 1, -num):
-            counts[-(x // den)] += late - early
+    zero, _, _, num, _, den = sched.runs[1]
+    for x in range(-num, -upto * den - 1, -num) if zero else ():
+        counts[-(x // den)] += len(zero)
     return counts
 
 
@@ -433,7 +431,6 @@ class HalvedSchedule:
 
     n: int
     thresholds: tuple[tuple[int, ...], ...]
-    check_horizon: int
     failing_k: int | None
     domination_violations: tuple[tuple[int, int], ...]
 
@@ -491,9 +488,8 @@ def halve_thresholds(sched: ThresholdSchedule, horizon: int) -> HalvedSchedule:
             raise CoveringViolation(
                 f"halved agent {i} cannot take ridge chore {2 * half_n - i + 1}")
 
-    check_to = horizon // 2
-    failing = covering_of_lists(folded, check_to)
-    return HalvedSchedule(half_n, tuple(folded), check_to, failing, tuple(bad_pairs))
+    failing = covering_of_lists(folded, horizon // 2)
+    return HalvedSchedule(half_n, tuple(folded), failing, tuple(bad_pairs))
 
 
 def _halve(lo, hi, tol, side):

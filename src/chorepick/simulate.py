@@ -66,17 +66,21 @@ def _greedy_picks(rows: Iterable, items: Iterable[int]) -> list[int]:
     return picks
 
 
+def check_rounds(seq: PickingSequence, m: int) -> None:
+    """Refuse a sequence whose round count is not the chore count m."""
+    if len(seq) != m:
+        raise ValueError(f"sequence covers {len(seq)} rounds, instance has {m} chores")
+
+
 def greedy_play(seq: PickingSequence, inst: ChoreInstance) -> Allocation:
     """Play a picking sequence with every agent greedy.
 
     In her round a picker removes her minimum-disvalue remaining chore,
     breaking ties toward the lowest chore index.
     """
-    rounds = seq.rounds
-    if len(rounds) != inst.m:
-        raise ValueError(f"sequence covers {len(rounds)} rounds, instance has {inst.m} chores")
+    check_rounds(seq, inst.m)
     held = seq.positions(inst.n)
-    picks = _greedy_picks([inst.costs[who - 1] for who in rounds], range(inst.m))
+    picks = _greedy_picks([inst.costs[who - 1] for who in seq.rounds], range(inst.m))
     return Allocation.from_lists([[picks[r - 1] + 1 for r in rs] for rs in held])
 
 

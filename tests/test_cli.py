@@ -270,6 +270,16 @@ class TestErrorExits:
         assert code == EXIT_INVALID
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("envy", "--seq", "1,2,1", "--audit", "prsd", "--input", str(GOLDEN / "general.json")),
+         "error: sequence covers 3 rounds, instance has 6 chores\n"),
+        (("gen", "--n", "2", "--m", "3", "--max-cost", "-1"),
+         "error: --m and --max-cost must be nonnegative, got m = 3, max-cost = -1\n"),
+    ], ids=["audit-short-sequence", "gen-negative-max-cost"])
+    def test_bad_input_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_INVALID, "", message)
+
     @pytest.mark.parametrize("argv", [
         ("envy", "--seq", "1,2,5", "--audit", "prsd", "--input", str(GOLDEN / "tight3.json")),
         ("envy", "--tension-example", "4", "--seq", "1,2,3,4,5,1,2,3,4"),

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorepick.entitle import round_to_order
-from chorepick.fairness import (ef_ra_audit, envy_tension_example, label_guarantees,
-                                preliminary_stage, suffix_envy_condition,
+from chorepick.fairness import (STAGE_MODES, ef_ra_audit, envy_tension_example,
+                                label_guarantees, preliminary_stage, suffix_envy_condition,
                                 tension_instance)
 from chorepick.model import ChoreInstance, PickingSequence, to_sequence
 from chorepick.shares import aps_oracle, proportional_share
@@ -189,6 +189,17 @@ class TestAudit:
             b = [F(w, sum(weights)) for w in weights]
             report = ef_ra_audit(seq, "prsd", rows, b)
             assert report.no_upward_envy
+
+    @pytest.mark.parametrize("rounds", [(1, 2), (1, 2, 1, 2)])
+    def test_sequence_must_have_one_round_per_chore(self, rounds):
+        # Too few rounds used to be audited as if the sequence were whole.
+        rows, ents = ((F(3), F(2), F(1)),) * 2, [F(1, 2)] * 2
+        message = f"sequence covers {len(rounds)} rounds, instance has 3 chores"
+        with pytest.raises(ValueError, match=message):
+            ef_ra_audit(PickingSequence(rounds), "prsd", rows, ents)
+        for mode in STAGE_MODES:
+            with pytest.raises(ValueError, match=message):
+                preliminary_stage(mode, PickingSequence(rounds), rows, ents)
 
 
 class TestTensionExample:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -21,10 +23,6 @@ from chorepick.simulate import evaluate_order
 # threshold loop, the full-horizon covering scan, the per-agent threshold-list
 # count, the all-agents synthesis loop and the counting replay loop that the
 # integer ridge layer replaced. Each must agree with it exactly.
-
-def _pairs(periods):
-    return tuple((p.numerator, p.denominator) for p in periods)
-
 
 def _reference_ridge_periods(n, rho, mode="agent"):
     rho = F(rho)
@@ -48,24 +46,18 @@ def _reference_ridge_periods(n, rho, mode="agent"):
                 cls, p = 0, F(n) / rho
         classes.append(cls)
         periods.append(p)
-    sched = ThresholdSchedule(n, rho, mode, tuple(classes), _pairs(periods))
-    violations = []
-    for i in range(1, n + 1):
-        cls = classes[i - 1]
-        ok = True
-        if cls == 0:
-            ok = sched.threshold(i, 1) <= i and sched.threshold(i, 2) <= 2 * n - i + 1
-        elif cls == 1:
-            ok = sched.threshold(i, 2) <= 2 * n - i + 1
-        if not ok:
-            violations.append(i)
-    return _schedule_facts(sched, tuple(violations))
+    # Thresholds 1 and 2 by the ceiling rule: ceil(p), ceil(2p) in class 0;
+    # i, i + ceil(p) in class 1; i, 2n+1-i in class 2.
+    violations = tuple(i for i, (cls, p) in enumerate(zip(classes, periods), start=1)
+                       if (cls == 0 and (math.ceil(p) > i or math.ceil(2 * p) > 2 * n - i + 1))
+                       or (cls == 1 and i + math.ceil(p) > 2 * n - i + 1))
+    return n, rho, mode, tuple(classes), tuple(periods), violations
 
 
-def _schedule_facts(sched, violations=None):
+def _schedule_facts(sched):
     """What a schedule says, with each period as a Fraction in lowest terms."""
     return (sched.n, sched.rho, sched.mode, sched.classes, sched.periods,
-            sched.ridge_violations if violations is None else violations)
+            sched.ridge_violations)
 
 
 def _reference_thresholds_upto(sched, agent, horizon):
@@ -253,6 +245,31 @@ class TestIntegerPeriods:
                              (1, F(1001, 1000), "agent"), (1, F(1001, 1000), "super")]:
             assert (_schedule_facts(ridge_periods(n, rho, mode))
                     == _reference_ridge_periods(n, rho, mode))
+
+    def test_a_schedule_is_two_cuts(self):
+        assert ([field.name for field in dataclasses.fields(ThresholdSchedule)]
+                == ["n", "rho", "mode", "early", "late"])
+        sched = ridge_periods(6, F(13, 10))
+        assert (sched.early, sched.late) == (4, 4)
+        for agent in (0, 7):
+            with pytest.raises(IndexError, match="agent .* is out of range 1..6"):
+                sched.threshold(agent, 1)
+            with pytest.raises(IndexError):
+                sched.thresholds_upto(agent, 20)
+
+    def test_many_agents_build_no_per_agent_state(self):
+        # Per-agent tuples of classes, periods and bases would take about
+        # 18 MiB here; the runs are walked in constant memory. (2^17 agents
+        # keep the traced walk short: tracemalloc hooks every allocation.)
+        tracemalloc.start()
+        try:
+            sched = ridge_periods(1 << 17, F(8, 5))
+            rate_low, cutoff = certified_cutoff(sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rate_low > RATE_SCALE and cutoff > 2 << 17
+        assert peak < 1 << 20
 
 
 class TestCertifiedCutoff:
