@@ -141,8 +141,7 @@ def _cmd_gen(args) -> dict:
                                 f"got m = {args.m}, max-cost = {args.max_cost}")
         rng = random.Random(args.seed)
         rows = tuple(
-            tuple(sorted((Fraction(rng.randint(0, args.max_cost)) for _ in range(args.m)),
-                         reverse=True))
+            tuple(sorted((rng.randint(0, args.max_cost) for _ in range(args.m)), reverse=True))
             for _ in range(n))
         inst = ChoreInstance(equal_entitlements(n), rows)
     elif args.kind == "tight":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import CELL_LIMIT, ChoreInstance, PickingSequence, SizeGuardError
+from .model import CELL_LIMIT, ChoreInstance, PickingSequence, SizeGuardError, _exact_costs
 from .simulate import _greedy_picks, check_rounds, guaranteed_disvalue
 
 ZERO = Fraction(0)
@@ -155,7 +155,7 @@ def ef_ra_audit(seq: PickingSequence, mode: str,
         # cost; their mean is then exactly the proportional share total/n.
         mean_ok = all(
             sum(guarantees[a].values(), ZERO)
-            == sum((Fraction(c) for c in cost_rows[a - 1]), ZERO)
+            == sum(_exact_costs(cost_rows[a - 1]))
             for a in range(1, n + 1)
         )
 

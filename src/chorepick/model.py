@@ -5,9 +5,9 @@ Conventions used throughout the package:
 - Agents are numbered 1..n and chores 1..m. An instance is in *common order*
   (all agents rank chores the same way) when every cost row is nonincreasing
   in the chore index; chore 1 is then the worst chore for everybody.
-- All numeric data is exact. Entitlements and costs are `fractions.Fraction`;
-  instance files carry rationals as strings ("3/7", "0.25"), parsed exactly.
-  Floats are rejected at the boundary so no rounding ever enters an instance.
+- All numeric data is exact. Entitlements and costs are Fractions (costs may
+  be ints); instance files carry rationals as strings ("3/7", "0.25"), parsed
+  exactly. Floats are rejected at the boundary so no rounding ever enters.
 - A *picking order* lists, for each allocation round r, the agent who
   receives chore r (rounds walk chores from worst to best). A *picking
   sequence* lists, for each picking round, the agent who picks her best
@@ -77,6 +77,12 @@ def parse_rational(value) -> Fraction:
     raise InstanceError(f"not a rational: {value!r} (floats are rejected; pass a string)")
 
 
+def _exact_costs(costs: Iterable) -> list:
+    """An int or a Fraction stays as it is, anything else becomes Fraction(c):
+    sorts and sums of int costs build no Fraction until the caller's result."""
+    return [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in costs]
+
+
 @dataclass(frozen=True)
 class ChoreInstance:
     """n agents with exact entitlements and an n-by-m nonnegative cost matrix."""
@@ -112,17 +118,12 @@ class ChoreInstance:
     def m(self) -> int:
         return len(self.costs[0]) if self.costs else 0
 
-    @property
-    def is_ido(self) -> bool:
-        """True iff every agent's costs are nonincreasing in the chore index."""
-        return all(row[j] >= row[j + 1] for row in self.costs for j in range(len(row) - 1))
-
     def row(self, agent: int) -> tuple[Fraction, ...]:
         return self.costs[agent - 1]
 
     def bundle_cost(self, agent: int, chores: Iterable[int]) -> Fraction:
         row = self.costs[agent - 1]
-        return sum((row[j - 1] for j in chores), Fraction(0))
+        return Fraction(sum(_exact_costs(row[j - 1] for j in chores)))
 
     def to_dict(self) -> dict:
         return {
@@ -291,16 +292,6 @@ class Allocation:
     @classmethod
     def from_lists(cls, bundles: Sequence[Iterable[int]]) -> "Allocation":
         return cls(tuple(frozenset(b) for b in bundles))
-
-    @property
-    def n(self) -> int:
-        return len(self.bundles)
-
-    def chores(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for b in self.bundles:
-            out |= b
-        return out
 
     def bundle(self, agent: int) -> frozenset[int]:
         return self.bundles[agent - 1]

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._simplex import LpUnbounded, maximize
-from .model import ChoreInstance, SizeGuardError
+from .model import ChoreInstance, SizeGuardError, _exact_costs
 
 ZERO = Fraction(0)
 
@@ -47,7 +47,7 @@ def _check_entitlement(b: Fraction) -> Fraction:
 
 def proportional_share(costs: Sequence[Fraction], b: Fraction) -> Fraction:
     b = _check_entitlement(b)
-    return b * sum((Fraction(c) for c in costs), ZERO)
+    return b * sum(_exact_costs(costs))
 
 
 def chore_share(costs: Sequence[Fraction], b: Fraction) -> Fraction:
@@ -60,14 +60,15 @@ def chore_share(costs: Sequence[Fraction], b: Fraction) -> Fraction:
     Fraction(1, 1)
     """
     b = _check_entitlement(b)
-    row = sorted((Fraction(c) for c in costs), reverse=True)
+    row = sorted(_exact_costs(costs), reverse=True)
     m = len(row)
 
-    def at(index: int) -> Fraction:  # 1-based, 0 beyond the row
-        return row[index - 1] if 1 <= index <= m else ZERO
+    def at(index: int):  # 1-based, 0 beyond the row
+        return row[index - 1] if 1 <= index <= m else 0
 
     k = (1 / b).__floor__()
-    return max(b * sum(row, ZERO), at(1), at(k) + at(k + 1))
+    proportional, top = b * sum(row), max(at(1), at(k) + at(k + 1))
+    return proportional if proportional >= top else Fraction(top)
 
 
 def mms_oracle(costs: Sequence[Fraction], n: int, *, force: bool = False) -> Fraction:
@@ -178,7 +179,8 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -
 
 @dataclass(frozen=True)
 class ShareReport:
-    """Per-agent shares of an instance; MMS/APS entries are None when skipped."""
+    """Per-agent shares of an instance; MMS/APS entries are None when skipped.
+    MMS, a split into n equal bundles, is None too unless entitlements are equal."""
 
     proportional: tuple[Fraction, ...]
     chore: tuple[Fraction, ...]
@@ -189,6 +191,7 @@ class ShareReport:
 def share_report(inst: ChoreInstance, *, with_mms: bool = True, with_aps: bool = True,
                  force: bool = False) -> ShareReport:
     ps, cs, mms, aps = [], [], [], []
+    with_mms = with_mms and len(set(inst.entitlements)) == 1
     # Both oracles depend only on the cost multiset, b and n, so agents
     # sharing a sorted row and an entitlement share one pair of calls.
     oracles: dict[tuple, tuple[Fraction | None, Fraction | None]] = {}

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import Allocation, ChoreInstance, PickingOrder, PickingSequence, positions
+from .model import (Allocation, ChoreInstance, PickingOrder, PickingSequence, _exact_costs,
+                    positions)
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -95,13 +96,13 @@ def guaranteed_disvalue(costs: Sequence[Fraction], rounds: Iterable[int]) -> Fra
     >>> guaranteed_disvalue([6, 2, 2], [1, 2])
     Fraction(4, 1)
     """
-    ranked = sorted(Fraction(c) for c in costs)
-    total = ZERO
+    ranked = sorted(_exact_costs(costs))
+    total = 0
     for r in rounds:
         if not 1 <= r <= len(ranked):
             raise ValueError(f"round {r} outside 1..{len(ranked)}")
         total += ranked[r - 1]
-    return total
+    return Fraction(total)
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,6 @@ def worst_case_ratio_cs(positions: Iterable[int], n: int, m: int) -> WorstCase:
 class OrderEvaluation:
     ratio: Fraction
     per_agent: dict[int, WorstCase]
-
-    def worst_agent(self) -> int:
-        return max(self.per_agent, key=lambda i: (self.per_agent[i].value, -i))
 
 
 def evaluate_order(order: PickingOrder, n: int, m: int) -> OrderEvaluation:

@@ -86,6 +86,27 @@ class TestInstanceCommands:
         assert shares["maximin"] == ["9/7", "9/7", "9/7"]
         assert shares["anyprice"] == ["9/7", "9/7", "9/7"]
 
+    def test_unequal_entitlements_have_no_maximin_share(self, capsys, tmp_path):
+        # The maximin share splits into n equal bundles: with b = 1/10 it read
+        # 5, below the anyprice share 10.
+        path = tmp_path / "unequal.json"
+        path.write_text(json.dumps({"agents": 2, "chores": 4, "entitlements": ["1/10", "9/10"],
+                                    "costs": [["4", "3", "2", "1"]] * 2}))
+        shares = payload(capsys, "shares", "--input", str(path))["shares"]
+        assert shares["maximin"] == [None, None]
+        assert shares["anyprice"] == ["4", "10"]
+        assert shares == payload(capsys, "shares", "--input", str(path), "--no-mms")["shares"]
+
+    def test_unequal_entitlements_skip_the_maximin_guard(self, capsys, tmp_path):
+        # Five bundles exceed the maximin oracle's guard of four.
+        path = tmp_path / "unequal.json"
+        path.write_text(json.dumps({"agents": 5, "chores": 3,
+                                    "entitlements": ["1/10"] * 4 + ["3/5"],
+                                    "costs": [["3", "2", "1"]] * 5}))
+        shares = payload(capsys, "shares", "--input", str(path))["shares"]
+        assert shares["maximin"] == [None] * 5
+        assert shares == payload(capsys, "shares", "--input", str(path), "--no-mms")["shares"]
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, "shares", "--input", "missing.json")
         assert code == EXIT_FILE

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chorepick.entitle import (DEFAULT_T, FractionalAllocation, ScalingFunction,
                                build_fractional, half_plus_x, round_to_order,
                                scaling_margin, solve_t, verify_guarantee)
-from chorepick.model import ChoreInstance, to_sequence
+from chorepick.model import ChoreInstance, PickingOrder, to_sequence
 from chorepick.simulate import greedy_play
 
 
@@ -200,7 +200,36 @@ class TestRounding:
                 assert inst.bundle_cost(agent, played.bundle(agent)) <= certificate
 
 
+def _reference_stress(b, order, trials, seed, m):
+    """verify_guarantee's random trials with every cost a Fraction: the
+    largest ratio of a greedy bundle's cost to its agent's chore share."""
+    rng = random.Random(seed)
+    seq = to_sequence(PickingOrder(order), m)
+    worst = F(0)
+    for _ in range(trials):
+        rows = [tuple(sorted((F(rng.randrange(1, 10 ** 6 + 1)) for _ in range(m)), reverse=True))
+                for _ in b]
+        played = greedy_play(seq, ChoreInstance(tuple(b), tuple(rows)))
+        for i, (row, bi) in enumerate(zip(rows, b), start=1):
+            k = (1 / bi).__floor__()
+            pair = sum(row[k - 1:k + 1], F(0)) if k <= m else F(0)
+            share = max(bi * sum(row, F(0)), row[0], pair)
+            worst = max(worst, sum((row[j - 1] for j in played.bundle(i)), F(0)) / share)
+    return worst
+
+
 class TestGuarantee:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_stress_matches_a_fraction_reference(self, data):
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+        b = [F(w, sum(weights)) for w in weights]
+        m, trials = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 5))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        report = verify_guarantee(b, trials=trials, seed=seed, m=m)
+        assert type(report.max_simulated) is F
+        assert report.max_simulated == _reference_stress(b, report.order, trials, seed, m)
+
     def test_uniform_four_agents(self):
         report = verify_guarantee([F(1, 4)] * 4, trials=100, seed=0, m=24)
         assert report.ok

@@ -232,7 +232,8 @@ class TestTensionExample:
 
     def test_instance_view(self):
         inst = tension_instance(envy_tension_example(4))
-        assert inst.n == 4 and inst.m == 9 and inst.is_ido
+        assert inst.n == 4 and inst.m == 9
+        assert all(list(row) == sorted(row, reverse=True) for row in inst.costs)
 
 
 class TestRoundingRecipeEnvy:

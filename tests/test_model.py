@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorepick.model import (CELL_LIMIT, Allocation, ChoreInstance, InstanceError,
-                             PickingOrder, PickingSequence, SizeGuardError, guard_cells,
-                             load_instance, parse_rational, positions, save_instance, to_order,
-                             to_sequence)
-from chorepick.simulate import greedy_play
+                             PickingOrder, PickingSequence, SizeGuardError, _exact_costs,
+                             guard_cells, load_instance, parse_rational, positions,
+                             save_instance, to_order, to_sequence)
+from chorepick.shares import chore_share, proportional_share
+from chorepick.simulate import greedy_play, guaranteed_disvalue
 
 
 def make(ents, costs):
@@ -49,10 +50,9 @@ class TestCellGuard:
 
 
 class TestInstance:
-    def test_valid_symmetric_instance_is_ido(self):
+    def test_valid_symmetric_instance(self):
         inst = make(["1/2", "1/2"], [[3, 2, 1], [3, 2, 1]])
         assert inst.n == 2 and inst.m == 3
-        assert inst.is_ido
 
     def test_entitlement_sum_diagnostic(self):
         with pytest.raises(InstanceError, match="entitlements sum to 5/6"):
@@ -69,9 +69,6 @@ class TestInstance:
     def test_ragged_rows_diagnostic(self):
         with pytest.raises(InstanceError, match="agent 2 has 1 costs"):
             make(["1/2", "1/2"], [[1, 2], [1]])
-
-    def test_non_ido_detected(self):
-        assert not make(["1/2", "1/2"], [[1, 2], [2, 1]]).is_ido
 
     def test_from_dict_schema_errors(self):
         with pytest.raises(InstanceError, match="missing field 'costs'"):
@@ -185,7 +182,7 @@ class TestAllocation:
     def test_bundles_accessible(self):
         alloc = Allocation.from_lists([[1, 3], [2]])
         assert alloc.bundle(1) == {1, 3}
-        assert alloc.chores() == {1, 2, 3}
+        assert alloc.bundles == (frozenset({1, 3}), frozenset({2}))
 
 
 def _exhaustive_orders(n, m):
@@ -221,3 +218,84 @@ class TestGreedyCorrespondence:
         played = greedy_play(to_sequence(order, 3), inst)
         assert inst.bundle_cost(1, played.bundle(1)) == 2
         assert inst.bundle_cost(2, played.bundle(2)) == 3
+
+
+# The references the promotion rule must reproduce: the shares and
+# guaranteed_disvalue promoted every cost to a Fraction before `_exact_costs`.
+# bundle_cost summed onto Fraction(0), which gives the same value except on
+# float costs, whose sum stayed a float.
+def _reference_proportional_share(costs, b):
+    return F(b) * sum((F(c) for c in costs), F(0))
+
+
+def _reference_chore_share(costs, b):
+    row = sorted((F(c) for c in costs), reverse=True)
+    k = (1 / F(b)).__floor__()
+
+    def at(index):
+        return row[index - 1] if 1 <= index <= len(row) else F(0)
+    return max(F(b) * sum(row, F(0)), at(1), at(k) + at(k + 1))
+
+
+def _reference_guaranteed_disvalue(costs, rounds):
+    ranked = sorted(F(c) for c in costs)
+    return sum((ranked[r - 1] for r in rounds), F(0))
+
+
+def _reference_bundle_cost(row, chores):
+    return sum((F(c) for c in (row[j - 1] for j in chores)), F(0))
+
+
+INT_COST = st.integers(0, 10 ** 6)
+FRACTION_COST = st.fractions(0, 50, max_denominator=12)
+COST_KINDS = {
+    "int": INT_COST,
+    "fraction": FRACTION_COST,
+    "mixed": st.one_of(INT_COST, FRACTION_COST),
+    "bool": st.one_of(st.booleans(), INT_COST),
+    "string": FRACTION_COST.map(str),
+    "float": st.floats(0, 100, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def cost_rows(draw, kinds=tuple(COST_KINDS)):
+    kind = draw(st.sampled_from(kinds))
+    return draw(st.lists(COST_KINDS[kind], max_size=12))
+
+
+class TestExactCosts:
+    """Ints and Fractions keep their type through sorts and sums; every
+    function still returns one Fraction of the value it always had."""
+
+    def test_promotion_rule(self):
+        third = F(1, 3)
+        out = _exact_costs([3, third, True, "2/7", 0.5])
+        assert out == [3, third, 1, F(2, 7), F(1, 2)]
+        assert [type(c) for c in out] == [int, F, F, F, F]
+        assert out[1] is third
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost_rows(), st.fractions(F(1, 20), 1, max_denominator=20).filter(bool))
+    def test_shares_match_the_reference(self, row, b):
+        for got, want in ((chore_share(row, b), _reference_chore_share(row, b)),
+                          (proportional_share(row, b), _reference_proportional_share(row, b))):
+            assert type(got) is F and got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost_rows().filter(bool), st.data())
+    def test_guaranteed_disvalue_matches_the_reference(self, row, data):
+        rounds = data.draw(st.sets(st.integers(1, len(row))))
+        got = guaranteed_disvalue(row, rounds)
+        assert type(got) is F and got == _reference_guaranteed_disvalue(row, rounds)
+
+    # A ChoreInstance refuses string costs (they do not compare with 0).
+    @settings(max_examples=200, deadline=None)
+    @given(cost_rows(("int", "fraction", "mixed", "bool", "float")), st.data())
+    def test_bundle_cost_matches_the_reference(self, row, data):
+        inst = ChoreInstance((F(1),), (tuple(row),))
+        chores = data.draw(st.sets(st.integers(1, len(row)))) if row else set()
+        got = inst.bundle_cost(1, chores)
+        assert type(got) is F and got == _reference_bundle_cost(row, chores)
+        if not any(type(c) is float for c in row):  # the sum it had before, exactly
+            assert got == sum((row[j - 1] for j in chores), F(0))

@@ -291,9 +291,10 @@ class TestShareReport:
     @staticmethod
     def _per_agent(inst):
         rows = [(inst.row(i), inst.entitlements[i - 1]) for i in range(1, inst.n + 1)]
+        equal = len(set(inst.entitlements)) == 1  # MMS is an equal-entitlement share
         return ShareReport(tuple(proportional_share(r, b) for r, b in rows),
                            tuple(chore_share(r, b) for r, b in rows),
-                           tuple(mms_oracle(r, inst.n) for r, _ in rows),
+                           tuple(mms_oracle(r, inst.n) if equal else None for r, _ in rows),
                            tuple(aps_oracle(r, b) for r, b in rows))
 
     @settings(max_examples=40, deadline=None)
@@ -328,9 +329,16 @@ class TestShareReport:
             monkeypatch.setattr(shares, name, counted(name))
         row = (F(3), F(1), F(2), F(2))
         # Agents 1 and 2 share a sorted row and an entitlement; agent 3 has
-        # the row at another entitlement, agent 4 another row.
+        # the row at another entitlement, agent 4 another row. Unequal
+        # entitlements have no maximin share.
         inst = ChoreInstance((F(1, 6), F(1, 6), F(1, 3), F(1, 3)),
                              (row, row[::-1], row, (F(5),) * 4))
         report = share_report(inst)
-        assert sorted(calls) == ["aps_oracle"] * 3 + ["mms_oracle"] * 3
+        assert sorted(calls) == ["aps_oracle"] * 3
         assert report.anyprice[:2] == (aps_oracle(row, F(1, 6)),) * 2
+        assert report.maximin == (None,) * 4
+        # At equal entitlements agents 1 to 3 share a sorted row.
+        calls.clear()
+        report = share_report(ChoreInstance((F(1, 4),) * 4, (row, row[::-1], row, (F(5),) * 4)))
+        assert sorted(calls) == ["aps_oracle"] * 2 + ["mms_oracle"] * 2
+        assert report.maximin[:3] == (mms_oracle(row, 4),) * 3
