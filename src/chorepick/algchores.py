@@ -18,19 +18,21 @@ sorted costs, then replay the surrogate rounds in reverse, each recipient
 taking her cheapest remaining real chore; no agent ends up above her
 surrogate bundle's disvalue, and shares are permutation-invariant, so the
 guarantee carries over.
+
+It all runs on integers, each agent's row times the lcm of its denominators:
+agent i compares only entries of her own row, which a positive scale keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements, invariant,
                     to_sequence)
 from .simulate import greedy_play
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,15 @@ def _find_cycle(held) -> list[int]:
         path.append(nxt)
 
 
-def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
-    """Allocate chores 1..m (already worst-first) given common-order costs;
-    returns the bundles, the trace and the final ``held``."""
+def _core(costs: Sequence[Sequence[int]], m: int, want_trace: bool):
+    """Allocate chores 1..m (already worst-first) given common-order integer
+    costs, each row on its agent's own scale, which is exact as agent i reads
+    only row i of ``held``; returns the bundles, the trace and ``held``."""
     n = len(costs)
     bundles: list[set[int]] = [set() for _ in range(n)]
     trace: list[RoundTrace] = []
-    held = [[ZERO] * n for _ in range(n)]
-    grand = [sum(row, ZERO) for row in costs]
+    held = [[0] * n for _ in range(n)]
+    grand = [sum(row) for row in costs]
     # The envy-free agent found when a round's rotations end receives the
     # next round's chore: nothing changes in between.
     recipient = _envy_free_agent(held)
@@ -95,7 +98,7 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
         rotations: list[tuple[int, ...]] = []
         while (chosen := _envy_free_agent(held)) is None:
             cycle = _find_cycle(held)
-            before = sum((held[i][i] for i in range(n)), ZERO)
+            before = [held[i][i] for i in cycle]
             # Agent cycle[k] takes the bundle of cycle[k+1]: the bundles and
             # the columns of held move together.
             source = cycle[1:] + cycle[:1]
@@ -103,8 +106,8 @@ def _core(costs: Sequence[Sequence[Fraction]], m: int, want_trace: bool):
                 moved = [row[j] for j in source]
                 for agent, item in zip(cycle, moved):
                     row[agent] = item
-            invariant(sum((held[i][i] for i in range(n)), ZERO) < before,
-                      "rotation must strictly improve")
+            invariant(all(held[i][i] < b for i, b in zip(cycle, before)),
+                      "rotation must strictly improve every member")
             rotations.append(tuple(a + 1 for a in cycle))
         invariant(len(set().union(*bundles)) == r, "bundles must partition the chores")
         if want_trace:
@@ -117,7 +120,10 @@ def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
     """Run the round-based allocation on the common-order reduction (each
     agent's costs sorted worst-first, which maps a common-order instance to
     itself) and map the result back to the real chores."""
-    surrogate = [tuple(sorted(row, reverse=True)) for row in inst.costs]
+    scales = [lcm(*(c.denominator for c in row)) for row in inst.costs]
+    scaled = ChoreInstance(inst.entitlements, tuple(
+        tuple(c.numerator * (d // c.denominator) for c in row) for row, d in zip(inst.costs, scales)))
+    surrogate = [sorted(row, reverse=True) for row in scaled.costs]
     bundles, rounds, held = _core(surrogate, inst.m, trace)
 
     # Replay the surrogate rounds best-to-worst on the real chores: the
@@ -126,9 +132,9 @@ def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
     for i, bundle in enumerate(bundles, start=1):
         for r in bundle:
             owners[r - 1] = i
-    real = greedy_play(to_sequence(PickingOrder(tuple(owners))), inst)
+    real = greedy_play(to_sequence(PickingOrder(tuple(owners))), scaled)
     for i in range(1, inst.n + 1):  # held[i-1][i-1]: agent i's surrogate bundle
-        invariant(inst.bundle_cost(i, real.bundle(i)) <= held[i - 1][i - 1],
+        invariant(scaled.bundle_cost(i, real.bundle(i)) <= held[i - 1][i - 1],
                   "reduction must not worsen any bundle")
 
     return AlgChoresResult(

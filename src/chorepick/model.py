@@ -94,6 +94,8 @@ class ChoreInstance:
         if not self.entitlements:
             raise InstanceError("instance needs at least one agent")
         for i, b in enumerate(self.entitlements, start=1):
+            if type(b) not in (int, Fraction):  # floats are inexact; a bool is no number
+                raise InstanceError(f"entitlement of agent {i} is not a rational: {b!r} (pass an int or a Fraction)")
             if b <= 0:
                 raise InstanceError(f"entitlement of agent {i} is {b}, must be positive")
         total = sum(self.entitlements)
@@ -107,6 +109,8 @@ class ChoreInstance:
             if len(row) != m:
                 raise InstanceError(f"agent {i} has {len(row)} costs, expected {m}")
             for j, c in enumerate(row, start=1):
+                if type(c) not in (int, Fraction):
+                    raise InstanceError(f"cost of chore {j} for agent {i} is not a rational: {c!r} (pass an int or a Fraction)")
                 if c < 0:
                     raise InstanceError(f"cost of chore {j} for agent {i} is negative ({c})")
 

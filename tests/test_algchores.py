@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorepick import algchores
 from chorepick.algchores import AlgChoresResult, RoundTrace, alg_chores, tight_example
-from chorepick.model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements,
-                             to_sequence)
+from chorepick.model import (Allocation, ChoreInstance, InvariantError, PickingOrder,
+                             equal_entitlements, to_sequence)
 from chorepick.shares import aps_oracle, mms_oracle
 from chorepick.simulate import greedy_play
 
@@ -82,6 +83,30 @@ class TestAlgorithm:
             assert len(scans) == 1 + m + result.rotations
             rotations += result.rotations
         assert rotations > 0
+
+    def test_a_rotation_must_improve_every_member(self, monkeypatch):
+        # The first cycle is replaced by all three agents in index order:
+        # agents 2 and 3 improve, agent 1 does not.
+        find = algchores._find_cycle
+        calls = []
+
+        def rotate_everyone_once(held):
+            calls.append(1)
+            return list(range(len(held))) if len(calls) == 1 else find(held)
+        monkeypatch.setattr(algchores, "_find_cycle", rotate_everyone_once)
+        inst = make(3, [[3, 3, 1, 1, 1], [3, 0, 0, 1, 0], [2, 0, 2, 3, 3]])
+        with pytest.raises(InvariantError, match="every member"):
+            alg_chores(inst)
+
+    def test_reduction_check_compares_on_the_agent_scale(self, monkeypatch):
+        # The swapped replay gives agent 2 the chore of 6/7 where her
+        # surrogate bundle cost 1/7: on her scale 6 > 1, though 6/7 <= 1.
+        play = algchores.greedy_play
+        monkeypatch.setattr(algchores, "greedy_play",
+                            lambda seq, inst: Allocation(play(seq, inst).bundles[::-1]))
+        inst = make(2, [[F(6, 7), F(1, 7)]] * 2)
+        with pytest.raises(InvariantError, match="must not worsen"):
+            alg_chores(inst)
 
     def test_partition_and_all_assigned(self):
         inst = make(3, [[9, 7, 5, 4, 2, 1]] * 3)
@@ -185,22 +210,37 @@ def _reference_alg_chores(inst):
     return AlgChoresResult(real, Allocation.from_lists(bundles), tuple(trace))
 
 
+COST = st.one_of(st.integers(0, 9), st.fractions(0, 9, max_denominator=7))
+
+
 @st.composite
 def _instances(draw):
     """Small instances with few distinct costs, so that ties and rotations
     occur; some rows are sorted worst-first, and some instances are in
-    common order throughout."""
+    common order throughout. Each row draws its own few values, ints and
+    Fractions (denominators up to 7), so rows differ in their denominators;
+    a row may be all zeros."""
     n = draw(st.integers(2, 6))
     m = draw(st.integers(0, 14))
     k = draw(st.sampled_from([1, 2, 3, 9]))
     common = draw(st.booleans())
     rows = []
     for _ in range(n):
-        row = draw(st.lists(st.integers(0, k), min_size=m, max_size=m))
+        values = draw(st.lists(COST, min_size=1, max_size=k + 1)) if draw(st.integers(0, 7)) else [0]
+        row = draw(st.lists(st.sampled_from(values), min_size=m, max_size=m))
         if common or draw(st.booleans()):
             row.sort(reverse=True)
-        rows.append(row)
-    return make(n, rows)
+        rows.append(tuple(row))
+    return ChoreInstance(equal_entitlements(n), tuple(rows))
+
+
+# Costs k/p for primes p near 10**6, two primes to a row and no prime shared
+# between rows.
+PRIMES = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
+COPRIME_ROWS = tuple(
+    tuple(F(random.Random(10 * i + j).randrange(3 * PRIMES[2 * i + j % 2]), PRIMES[2 * i + j % 2])
+          for j in range(12))
+    for i in range(4))
 
 
 class TestReference:
@@ -208,6 +248,26 @@ class TestReference:
     @given(_instances())
     def test_matches_resumming_reference(self, inst):
         assert alg_chores(inst, trace=True) == _reference_alg_chores(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_instances(), st.data())
+    def test_scaling_a_row_changes_nothing(self, inst, data):
+        scales = data.draw(st.lists(st.fractions(F(1, 1000), 1000, max_denominator=1000)
+                                    .filter(bool), min_size=inst.n, max_size=inst.n))
+        scaled = ChoreInstance(inst.entitlements, tuple(
+            tuple(c * s for c in row) for row, s in zip(inst.costs, scales)))
+        assert alg_chores(scaled, trace=True) == alg_chores(inst, trace=True)
+
+    def test_large_coprime_denominators(self, monkeypatch):
+        inst = ChoreInstance(equal_entitlements(4), COPRIME_ROWS)
+        seen = []
+        core = algchores._core
+        monkeypatch.setattr(algchores, "_core", lambda costs, m, t: seen.append(costs) or core(costs, m, t))
+        assert alg_chores(inst, trace=True) == _reference_alg_chores(inst)
+        # The core sees each row times its own two primes and nothing more.
+        for row, scaled, p, q in zip(inst.costs, seen[0], PRIMES[::2], PRIMES[1::2]):
+            assert lcm(*(c.denominator for c in row)) == p * q
+            assert scaled == sorted((c * p * q for c in row), reverse=True)
 
     def test_reference_sees_rotations(self):
         rng = random.Random(0)
