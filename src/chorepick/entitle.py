@@ -6,14 +6,14 @@ is padded with zero-cost tail chores so that every agent can release a full
 unit of fractional mass. Five stages:
 
 1. proportional: agent i holds a b(i) fraction of every chore.
-2. giveup: chore i goes to agent i outright; on top of that every agent
-   releases fractional mass totalling exactly 1, walking from chore 1
-   until ceil(1/b(i)) chores are touched (the last one partially). Columns
-   may now be oversubscribed (surplus) or undersubscribed (deficit).
-3. rebalanced: surplus fractions move onto deficit chores until every column
-   sums to 1 again. Surplus chores keep their outright owner; within a
-   surplus chore the highest-index owners move first, into the lowest-index
-   deficit chores.
+2. giveup: chore i goes to agent i outright, and every agent releases one
+   unit from the front: with 1 = w*b(i) + r (w whole, 0 <= r < b(i)) she
+   keeps nothing of chores 1..w and b(i) - r of chore w+1. Head columns
+   1..n may now be oversubscribed; columns n+1..ceil(1/b(1)) fall short.
+3. rebalanced: every head column keeps only its outright owner, so the head
+   block is the identity. The rest of each head column moves, column by
+   column and highest-index owner first, onto the short columns in
+   ascending order until every column sums to 1.
 4. scaled: beyond the first n chores, agent i's fractions are multiplied by
    s(B(i)) where B(i) = b(1)+...+b(i) and s is a nondecreasing scaling
    function with unit integral. No column drops below 1.
@@ -23,6 +23,9 @@ unit of fractional mass. Five stages:
    holding docked until the profile sums to 1); entries above the target
    are capped, and any remaining gap is refilled from the highest-index
    agents upward.
+
+Stages 3 to 5 come from one walk over the columns past the heads, and each
+check runs on the column it concerns.
 
 The result is a legal fractional allocation in which every agent's first
 strictly fractional chore comes after max(n, floor(1/b(i))), i.e. past her
@@ -39,7 +42,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import ge
 from typing import Callable, Sequence
 
 from .model import ChoreInstance, PickingOrder, guard_cells, invariant, to_sequence
@@ -119,10 +123,6 @@ class FractionalAllocation:
         return len(self.shares[0]) if self.shares else 0
 
 
-def _column_sums(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    return [sum(column, ZERO) for column in zip(*matrix)]
-
-
 def _first_fractional(row: Sequence[Fraction]) -> int | None:
     return next((j for j, a in enumerate(row, start=1) if 0 < a < 1), None)
 
@@ -171,6 +171,20 @@ class Pipeline:
         return PickingOrder(prefix=relabeled)
 
 
+def _trim(column: list[Fraction], target: list[Fraction]) -> list[Fraction]:
+    """Cap each entry at its target, then refill to 1 from the highest index down."""
+    kept = [min(a, g) for a, g in zip(column, target)]
+    gap = ONE - sum(kept, ZERO)
+    for i in range(len(kept) - 1, -1, -1):
+        if gap == 0:
+            break
+        step = min(column[i] - kept[i], gap)
+        kept[i] += step
+        gap -= step
+    invariant(gap == 0, "trimming must refill its column to 1")
+    return kept
+
+
 def build_fractional(entitlements: Sequence[Fraction],
                      scaling: Callable[[Fraction], Fraction],
                      m: int) -> Pipeline:
@@ -188,105 +202,64 @@ def build_fractional(entitlements: Sequence[Fraction],
     n = len(b_orig)
     order = sorted(range(n), key=lambda i: (b_orig[i], i))
     b = [b_orig[i] for i in order]
-    prefix_mass = list(accumulate(b))
-
-    need = math.ceil(1 / b[0])
-    cols = max(m, n, need)
+    cols = max(m, n, math.ceil(1 / b[0]))
     guard_cells(n, cols, "the fractional allocation")
+    # Release `whole` = floor(1/b_i) full shares, then `rest` of the next; take chore i.
+    giveup = []
+    for i, bi in enumerate(b):
+        whole, rest = divmod(ONE, bi)
+        row = ([ZERO] * whole + [bi - rest] + [bi] * cols)[:cols]
+        row[i] += ONE
+        giveup.append(row)
+    # Each head column keeps only its outright owner; the rest moves, column by
+    # column and highest index first, to the short columns in ascending order.
+    # `moves` lists those pieces last first, so the next one is popped.
+    invariant(all(giveup[j][j] >= 1 for j in range(n)), "the heads must stay whole")
+    moves = [(i, a) for j in range(n - 1, -1, -1) for i in range(n)
+             if (a := giveup[i][j] - (ONE if i == j else ZERO)) > 0]
 
-    proportional = [[b[i]] * cols for i in range(n)]
-
-    # Outright heads plus a unit of released mass per agent.
-    giveup = [row[:] for row in proportional]
-    for i in range(n):
-        remaining = ONE
-        j = 0
-        while remaining > 0:
-            take = min(b[i], remaining)
-            giveup[i][j] -= take
-            remaining -= take
-            j += 1
-        invariant(j == math.ceil(1 / b[i]), "a unit release must touch ceil(1/b) chores")
-        giveup[i][i] += ONE
-
-    sums = _column_sums(giveup)
-    rebalanced = [row[:] for row in giveup]
-    deficits = [(j, ONE - s) for j, s in enumerate(sums) if s < 1]
-    d_iter = iter(deficits)
-    d_col, d_gap = next(d_iter, (None, ZERO))
-    for j in range(n):
-        if sums[j] <= 1:
-            continue
-        for i in range(n - 1, -1, -1):
-            movable = rebalanced[i][j] - (ONE if i == j else ZERO)
-            while movable > 0:
-                invariant(d_col is not None, "total surplus must equal total deficit")
-                step = min(movable, d_gap)
-                rebalanced[i][j] -= step
-                rebalanced[i][d_col] += step
-                movable -= step
-                d_gap -= step
-                if d_gap == 0:
-                    d_col, d_gap = next(d_iter, (None, ZERO))
-    invariant(all(s == 1 for s in _column_sums(rebalanced)), "rebalanced columns must sum to 1")
-    # Suffix domination on the formerly-deficit range: late agents jointly
-    # hold at least their proportional mass there, which step 4 relies on.
-    for j in range(n, min(need, cols)):
-        suffix = ZERO
-        suffix_prop = ZERO
-        for i in range(n - 1, -1, -1):
-            suffix += rebalanced[i][j]
-            suffix_prop += b[i]
-            invariant(suffix >= suffix_prop, "suffix domination violated after rebalance")
-
-    factors = [scaling(prefix_mass[i]) for i in range(n)]
-    mass = sum((factors[i] * b[i] for i in range(n)), ZERO)
+    factors = [scaling(x) for x in accumulate(b)]
+    target = [f * bi for f, bi in zip(factors, b)]
+    mass = sum(target, ZERO)
     if mass < 1:
         raise ValueError(f"the scaled shares s(B(i))*b(i) sum to {mass} < 1: "
                          f"the scaling parameter t is too small for these entitlements")
-    scaled = [row[:] for row in rebalanced]
-    for i in range(n):
-        for j in range(n, cols):
-            scaled[i][j] = factors[i] * rebalanced[i][j]
-    scaled_sums = _column_sums(scaled)
-    invariant(all(s == 1 for s in scaled_sums[:n]), "scaling must leave the heads whole")
-    invariant(all(s >= 1 for s in scaled_sums[n:]), "scaling must not starve a column")
+    target = _trim_target(target)
+    b_suffix = list(accumulate(reversed(b)))
 
-    target = _trim_target([factors[i] * b[i] for i in range(n)])
-    final_rows = [row[:] for row in scaled]
-    for j in range(n, cols):
-        if scaled_sums[j] == 1:
-            continue
-        kept = [min(scaled[i][j], target[i]) for i in range(n)]
-        gap = ONE - sum(kept, ZERO)
-        for i in range(n - 1, -1, -1):
-            if gap == 0:
-                break
-            room = scaled[i][j] - kept[i]
-            if room > 0:
-                step = min(room, gap)
-                kept[i] += step
-                gap -= step
-        invariant(gap == 0, "trimming must refill its column to 1")
-        for i in range(n):
-            final_rows[i][j] = kept[i]
-    invariant(all(s == 1 for s in _column_sums(final_rows)), "final columns must sum to 1")
+    heads = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
+    rebalanced, scaled, trimmed = heads[:], heads[:], heads[:]
+    for column in map(list, islice(zip(*giveup), n, None)):
+        gap = ONE - sum(column, ZERO)
+        while gap > 0:
+            invariant(bool(moves), "total surplus must equal total deficit")
+            i, left = moves.pop()
+            step = min(left, gap)
+            column[i] += step
+            gap -= step
+            if step < left:
+                moves.append((i, left - step))
+        invariant(gap == 0, "rebalanced columns must sum to 1")
+        # Late agents jointly hold at least their proportional mass (scaling relies on it).
+        invariant(all(map(ge, accumulate(reversed(column)), b_suffix)),
+                  "suffix domination violated after rebalance")
+        column_scaled = [f * a for f, a in zip(factors, column)]
+        total = sum(column_scaled, ZERO)
+        invariant(total >= 1, "scaling must not starve a column")
+        rebalanced.append(column)
+        scaled.append(column_scaled)
+        trimmed.append(column_scaled if total == 1 else _trim(column_scaled, target))
+    invariant(not moves, "total surplus must equal total deficit")
 
-    firsts = [_first_fractional(row) for row in final_rows]
-    sentinel = any(f is None and 0 < b[i] < 1 for i, f in enumerate(firsts))
+    firsts = [_first_fractional(row) for row in zip(*trimmed)]
+    sentinel = any(f is None and 0 < bi < 1 for f, bi in zip(firsts, b))
     if sentinel:
-        for i in range(n):
-            final_rows[i].append(b[i])
-        firsts = [_first_fractional(row) for row in final_rows]
-    for i in range(n):
-        floor_slot = max(n, math.floor(1 / b[i]))
-        invariant(firsts[i] is None or firsts[i] > floor_slot,
-                  f"agent {i + 1} holds a fraction at column {firsts[i]}, within her danger zone")
+        trimmed.append(b)
+        firsts = [_first_fractional(row) for row in zip(*trimmed)]
+    for i, (first, bi) in enumerate(zip(firsts, b), start=1):
+        invariant(first is None or first > max(n, math.floor(1 / bi)),
+                  f"agent {i} holds a fraction at column {first}, within her danger zone")
 
-    final = FractionalAllocation(
-        shares=tuple(tuple(row) for row in final_rows),
-        first_fractional=tuple(firsts),
-    )
     return Pipeline(
         entitlements=tuple(b_orig),
         sorted_entitlements=tuple(b),
@@ -294,11 +267,11 @@ def build_fractional(entitlements: Sequence[Fraction],
         m=m,
         columns=cols,
         sentinel=sentinel,
-        proportional=tuple(tuple(r) for r in proportional),
-        giveup=tuple(tuple(r) for r in giveup),
-        rebalanced=tuple(tuple(r) for r in rebalanced),
-        scaled=tuple(tuple(r) for r in scaled),
-        final=final,
+        proportional=tuple((bi,) * cols for bi in b),
+        giveup=tuple(tuple(row) for row in giveup),
+        rebalanced=tuple(zip(*rebalanced)),
+        scaled=tuple(zip(*scaled)),
+        final=FractionalAllocation(shares=tuple(zip(*trimmed)), first_fractional=tuple(firsts)),
     )
 
 

@@ -314,3 +314,31 @@ def test_criterion_13_every_n_covering_certificates():
            f"{len(super_fails)} n, the largest {max(super_fails)}; "
            f"309/310 super and 701/702 at 771/500 agent: "
            f"{[(v.status, v.failing_k) for v in boundaries]}; {elapsed:.1f}s")
+
+
+def test_criterion_14_closed_loop_at_every_n():
+    # Criterion 12's loop at every n <= 128 that passes covering: the order
+    # synthesized to the horizon is evaluated exactly, and no agent's worst
+    # case exceeds rho. Each row pins the pass count, the worst ratio and the
+    # smallest n that reaches it.
+    rows = [(F(8, 5), "agent", 127, F(8, 5), 5),
+            (F(1543, 1000), "agent", 127, F(2225, 1442), 90),
+            (F(1543, 1000), "super", 51, F(395, 256), 79)]
+    start = time.perf_counter()
+    details = []
+    ok = True
+    for rho, mode, passes, worst, worst_n in rows:
+        ratios = {}
+        for n in range(2, 129):
+            sched = ridge_periods(n, rho, mode)
+            verdict = covering_test(sched)
+            if verdict.status == "pass":
+                order = synthesize_order(sched, verdict.horizon)
+                ratios[n] = evaluate_order(order, n, verdict.horizon).ratio
+        at = max(ratios, key=ratios.get)
+        details.append(f"{mode} rho={rho}: {len(ratios)} passes, worst {ratios[at]} at n={at}")
+        ok = (ok and len(ratios) == passes and (ratios[at], at) == (worst, worst_n)
+              and all(ratio <= rho for ratio in ratios.values()))
+    elapsed = time.perf_counter() - start
+    report("criterion 14: covering -> synthesis -> exact evaluation at every passing n <= 128, <10s",
+           ok and elapsed < 10.0, "; ".join(details) + f"; {elapsed:.1f}s")

@@ -210,10 +210,13 @@ class TestTensionExample:
         assert ex.heavy_costs == (F(2),) + (F(1),) * 8
         assert ex.ratio_bound == 1
 
-    def test_five_agent_anyprice_confirmed_by_oracle(self):
-        ex = envy_tension_example(5)
-        aps = aps_oracle(ex.heavy_costs, ex.entitlements[0], force=True)
-        assert aps <= ex.anyprice_upper == 5
+    def test_anyprice_share_confirmed_by_oracle(self):
+        # The heavy agent's anyprice share is exactly the k + 2 the example
+        # states, so the ratio 2 - 4/n is measured against the true share.
+        for n in range(4, 13):
+            ex = envy_tension_example(n)
+            aps = aps_oracle(ex.heavy_costs, ex.entitlements[0], force=True)
+            assert aps == ex.anyprice_upper == ex.k + 2, n
 
     def test_degenerate_below_four(self):
         with pytest.raises(ValueError):
