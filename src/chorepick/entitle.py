@@ -25,7 +25,9 @@ unit of fractional mass. Five stages:
    agents upward.
 
 Stages 3 to 5 come from one walk over the columns past the heads, and each
-check runs on the column it concerns.
+check runs on the column it concerns. From column max(n, ceil(1/b(1))) + 1
+on, every giveup column is b itself and nothing moves onto it, so the walk
+stops one column past max(n, ceil(1/b(1))) and repeats that column.
 
 The result is a legal fractional allocation in which every agent's first
 strictly fractional chore comes after max(n, floor(1/b(i))), i.e. past her
@@ -202,7 +204,8 @@ def build_fractional(entitlements: Sequence[Fraction],
     n = len(b_orig)
     order = sorted(range(n), key=lambda i: (b_orig[i], i))
     b = [b_orig[i] for i in order]
-    cols = max(m, n, math.ceil(1 / b[0]))
+    tail = max(n, math.ceil(1 / b[0]))   # from this column on every giveup column is b
+    cols = max(m, tail)
     guard_cells(n, cols, "the fractional allocation")
     # Release `whole` = floor(1/b_i) full shares, then `rest` of the next; take chore i.
     giveup = []
@@ -229,7 +232,7 @@ def build_fractional(entitlements: Sequence[Fraction],
 
     heads = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
     rebalanced, scaled, trimmed = heads[:], heads[:], heads[:]
-    for column in map(list, islice(zip(*giveup), n, None)):
+    for column in map(list, islice(zip(*giveup), n, tail + 1)):
         gap = ONE - sum(column, ZERO)
         while gap > 0:
             invariant(bool(moves), "total surplus must equal total deficit")
@@ -244,12 +247,13 @@ def build_fractional(entitlements: Sequence[Fraction],
         invariant(all(map(ge, accumulate(reversed(column)), b_suffix)),
                   "suffix domination violated after rebalance")
         column_scaled = [f * a for f, a in zip(factors, column)]
-        total = sum(column_scaled, ZERO)
-        invariant(total >= 1, "scaling must not starve a column")
+        invariant(sum(column_scaled, ZERO) >= 1, "scaling must not starve a column")
         rebalanced.append(column)
         scaled.append(column_scaled)
-        trimmed.append(column_scaled if total == 1 else _trim(column_scaled, target))
+        trimmed.append(_trim(column_scaled, target))
     invariant(not moves, "total surplus must equal total deficit")
+    for stage in (rebalanced, scaled, trimmed):
+        stage += stage[-1:] * (cols - len(stage))
 
     firsts = [_first_fractional(row) for row in zip(*trimmed)]
     sentinel = any(f is None and 0 < bi < 1 for f, bi in zip(firsts, b))
@@ -287,14 +291,10 @@ def round_to_order(alloc: FractionalAllocation,
     """
     n = alloc.n
     b = [Fraction(x) for x in entitlements]
-    cols = alloc.columns
     priority = sorted(range(n), key=lambda i: (b[i], i), reverse=True)
-    cumulative = [ZERO] * n
     received = [0] * n
     picks: list[int] = []
-    for t in range(1, cols + 1):
-        for i in range(n):
-            cumulative[i] += alloc.shares[i][t - 1]
+    for cumulative in zip(*map(accumulate, alloc.shares)):
         chosen = next((i for i in priority if cumulative[i] > received[i]), None)
         invariant(chosen is not None, "illegal fractional allocation: no eligible agent")
         received[chosen] += 1

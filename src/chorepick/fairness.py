@@ -16,6 +16,9 @@ which makes envy auditable without modeling beliefs:
   responsibility (ties shuffled) keeps lower-responsibility agents from
   envying weakly higher ones ex ante.
 
+`ef_ra_audit` checks the last three for n <= 6 over one list of equally likely
+agent orders: shuffles within responsibility tiers (label_pick has one tier).
+
 `envy_tension_example` builds the responsibility vector on kn+1 chores
 (k = n-2) witnessing that no sequence can both avoid such envy and stay
 below 2 - 4/n times the anyprice share for the heaviest agent.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -85,6 +89,11 @@ def _greedy_label_order(guarantees, agent_order):
     return dict(zip(agent_order, labels))
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in STAGE_MODES:
+        raise ValueError(f"unknown stage mode {mode!r}; choose from {STAGE_MODES}")
+
+
 def preliminary_stage(mode: str, seq: PickingSequence,
                       cost_rows: Sequence[Sequence[Fraction]],
                       entitlements: Sequence[Fraction],
@@ -96,8 +105,7 @@ def preliminary_stage(mode: str, seq: PickingSequence,
     label). prsd: agents ordered by ascending responsibility with random tie
     shuffle, then the same greedy label pick.
     """
-    if mode not in STAGE_MODES:
-        raise ValueError(f"unknown stage mode {mode!r}; choose from {STAGE_MODES}")
+    _check_mode(mode)
     n = len(cost_rows)
     rng = random.Random(seed)
     guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
@@ -141,66 +149,37 @@ def ef_ra_audit(seq: PickingSequence, mode: str,
     uniform; under prsd no agent ex-ante prefers the label set of a weakly
     higher-responsibility agent.
     """
+    _check_mode(mode)
     n = len(cost_rows)
     if n > ENUMERATION_LIMIT:
         raise SizeGuardError(f"audit enumerates {n}! stage orders; limit is {ENUMERATION_LIMIT}")
     b = [Fraction(x) for x in entitlements]
-    equal = all(x == b[0] for x in b)
-    guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
-
+    agents = range(1, n + 1)
+    guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in agents}
+    # Label round sets partition the rounds and round r guarantees the r-th cheapest
+    # chore, so each row's label guarantees sum to its total: their mean is total/n.
     mean_ok = None
-    if equal:
-        # Label round sets partition the rounds, and the guarantee of round r
-        # is the r-th cheapest chore, so the label guarantees sum to the total
-        # cost; their mean is then exactly the proportional share total/n.
-        mean_ok = all(
-            sum(guarantees[a].values(), ZERO)
-            == sum(_exact_costs(cost_rows[a - 1]))
-            for a in range(1, n + 1)
-        )
-
-    dominates = None
+    if all(x == b[0] for x in b):
+        mean_ok = all(sum(guarantees[a].values(), ZERO) == sum(_exact_costs(cost_rows[a - 1]))
+                      for a in agents)
+    if mode == "random_bijection":
+        return AuditReport(mode, mean_ok, None, None)
+    tiers = [agents] if mode == "label_pick" else [
+        [a for a in agents if b[a - 1] == x] for x in sorted(set(b))]
+    outcomes = [_greedy_label_order(guarantees, [a for tier in shuffles for a in tier])
+                for shuffles in itertools.product(*map(itertools.permutations, tiers))]
+    received = {a: Counter(got[a] for got in outcomes) for a in agents}
     if mode == "label_pick":
-        hits = {a: [0] * n for a in range(1, n + 1)}  # hits[a][k]: top-(k+1) count
-        ranked = {a: sorted(row, key=lambda lab: (row[lab], lab))
-                  for a, row in guarantees.items()}
-        orders = list(itertools.permutations(range(1, n + 1)))
-        for order in orders:
-            got = _greedy_label_order(guarantees, order)
-            for a in range(1, n + 1):
-                rank = ranked[a].index(got[a])
-                for k in range(rank, n):
-                    hits[a][k] += 1
-        total = len(orders)
-        dominates = all(
-            Fraction(hits[a][k], total) >= Fraction(k + 1, n)
-            for a in range(1, n + 1) for k in range(n)
-        )
-
-    upward = None
-    if mode == "prsd":
-        groups = {}
-        for a in range(1, n + 1):
-            groups.setdefault(b[a - 1], []).append(a)
-        tiers = [groups[key] for key in sorted(groups)]
-        own = {a: ZERO for a in range(1, n + 1)}
-        held = {(p, q): ZERO for p in range(1, n + 1) for q in range(1, n + 1)}
-        outcomes = 0
-        for shuffles in itertools.product(*[itertools.permutations(t) for t in tiers]):
-            order = [a for tier in shuffles for a in tier]
-            got = _greedy_label_order(guarantees, order)
-            outcomes += 1
-            for p in range(1, n + 1):
-                own[p] += guarantees[p][got[p]]
-                for q in range(1, n + 1):
-                    held[(p, q)] += guarantees[p][got[q]]
-        upward = all(
-            own[p] <= held[(p, q)]
-            for p in range(1, n + 1) for q in range(1, n + 1)
-            if p != q and b[q - 1] >= b[p - 1]
-        )
-
-    return AuditReport(mode, mean_ok, dominates, upward)
+        # Each agent's k+1 cheapest labels reach her at least (k+1)/n of the time.
+        ranked = {a: sorted(row, key=lambda lab: (row[lab], lab)) for a, row in guarantees.items()}
+        dominates = all(n * top >= (k + 1) * len(outcomes) for a in agents for k, top in
+                        enumerate(itertools.accumulate(received[a][lab] for lab in ranked[a])))
+        return AuditReport(mode, mean_ok, dominates, None)
+    # p's summed guarantee on her own labels, minus on q's, both under p's costs.
+    upward = all(
+        sum(g * (received[p][lab] - received[q][lab]) for lab, g in guarantees[p].items()) <= 0
+        for p in agents for q in agents if p != q and b[q - 1] >= b[p - 1])
+    return AuditReport(mode, mean_ok, None, upward)
 
 
 @dataclass(frozen=True)

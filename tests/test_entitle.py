@@ -146,6 +146,13 @@ class TestPipelineFixtures:
         # the rebalanced head block is the identity
         for i in range(n):
             assert p.rebalanced[i][:n] == tuple(int(i == j) for j in range(n))
+        # from column max(n, ceil(1/b(1))) on, each stage repeats one column,
+        # and the rebalanced one is b itself
+        tail = max(n, math.ceil(1 / bs[0]))
+        for stage in (p.rebalanced, p.scaled, p.final.shares):
+            columns = list(zip(*stage))[tail:p.columns]
+            assert columns == columns[:1] * len(columns)
+        assert all(column == bs for column in list(zip(*p.rebalanced))[tail:])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

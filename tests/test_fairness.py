@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fairness_reference
 from chorepick.entitle import round_to_order
 from chorepick.fairness import (STAGE_MODES, ef_ra_audit, envy_tension_example,
                                 label_guarantees, preliminary_stage, suffix_envy_condition,
@@ -85,6 +87,28 @@ def _stage_cases(draw):
     seq = PickingSequence(tuple(draw(st.lists(st.integers(1, n), min_size=m, max_size=m))))
     ents = [draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2)])) for _ in range(n)]
     return seq, rows, ents, draw(st.integers(0, 10 ** 6))
+
+
+@st.composite
+def _audit_cases(draw):
+    """(seq, rows, entitlements) for the audit: n up to one past the
+    enumeration guard, few distinct costs and entitlements so that guarantee
+    and responsibility ties occur, and now and then a sequence of the wrong
+    length or with a label outside 1..n."""
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(0, 12))
+    k = draw(st.sampled_from([1, 3, 9]))
+    rows = tuple(tuple(F(c) for c in draw(st.lists(st.integers(0, k), min_size=m, max_size=m)))
+                 for _ in range(n))
+    length = draw(st.sampled_from([m] * 4 + [draw(st.integers(0, 12))]))
+    top = draw(st.sampled_from([max(n, 1)] * 4 + [n + 2]))
+    seq = PickingSequence(tuple(draw(st.lists(st.integers(1, top),
+                                              min_size=length, max_size=length))))
+    if draw(st.booleans()):
+        ents = [F(1, n)] * n if n else []
+    else:
+        ents = [draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2)])) for _ in range(n)]
+    return seq, rows, ents
 
 
 class TestPreliminaryStage:
@@ -200,6 +224,29 @@ class TestAudit:
         for mode in STAGE_MODES:
             with pytest.raises(ValueError, match=message):
                 preliminary_stage(mode, PickingSequence(rounds), rows, ents)
+
+    def test_unknown_mode(self):
+        rows, ents = ((F(3), F(2), F(1)),) * 2, [F(1, 2)] * 2
+        message = f"unknown stage mode 'nope'; choose from {STAGE_MODES}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ef_ra_audit(PickingSequence((1, 2, 1)), "nope", rows, ents)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            preliminary_stage("nope", PickingSequence((1, 2, 1)), rows, ents)
+
+    @pytest.mark.parametrize("mode", STAGE_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(case=_audit_cases())
+    def test_matches_the_reference_audit(self, case, mode):
+        # The report, or the error, of the earlier two-enumeration audit kept
+        # in tests/fairness_reference.py.
+        seq, rows, ents = case
+        outcomes = []
+        for audit in (ef_ra_audit, fairness_reference.ef_ra_audit):
+            try:
+                outcomes.append(audit(seq, mode, rows, ents))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTensionExample:
