@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .model import (Allocation, ChoreInstance, PickingOrder, equal_entitlements, invariant,
-                    to_sequence)
+from .model import (Allocation, ChoreInstance, PickingOrder, _integer_row, equal_entitlements,
+                    invariant, to_sequence)
 from .simulate import greedy_play
 
 
@@ -120,9 +119,8 @@ def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
     """Run the round-based allocation on the common-order reduction (each
     agent's costs sorted worst-first, which maps a common-order instance to
     itself) and map the result back to the real chores."""
-    scales = [lcm(*(c.denominator for c in row)) for row in inst.costs]
-    scaled = ChoreInstance(inst.entitlements, tuple(
-        tuple(c.numerator * (d // c.denominator) for c in row) for row, d in zip(inst.costs, scales)))
+    scaled = ChoreInstance(inst.entitlements,
+                           tuple(tuple(_integer_row(row)[1]) for row in inst.costs))
     surrogate = [sorted(row, reverse=True) for row in scaled.costs]
     bundles, rounds, held = _core(surrogate, inst.m, trace)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -67,6 +68,14 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # Plain "p" and "p/q" skip Fraction's regex. isascii first:
+            # str.isdigit holds for "²", which int() refuses.
+            if value.isascii():
+                if value.isdigit():
+                    return Fraction(int(value))
+                p, _, q = value.partition("/")
+                if p.isdigit() and q.isdigit():
+                    return Fraction(int(p), int(q))
             exponent = int(value.lower().rpartition("e")[2]) if "e" in value or "E" in value else 0
             if abs(exponent) <= EXPONENT_LIMIT:
                 return Fraction(value)
@@ -81,6 +90,15 @@ def _exact_costs(costs: Iterable) -> list:
     """An int or a Fraction stays as it is, anything else becomes Fraction(c):
     sorts and sums of int costs build no Fraction until the caller's result."""
     return [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in costs]
+
+
+def _integer_row(costs: Iterable) -> tuple[int, list[int]]:
+    """(scale, ints): the row, promoted as in _exact_costs, times the lcm of
+    its denominators, so ints[j] == costs[j] * scale. A positive scale keeps
+    every comparison and sum within the row."""
+    row = _exact_costs(costs)
+    scale = lcm(*(c.denominator for c in row))
+    return scale, [c.numerator * (scale // c.denominator) for c in row]
 
 
 @dataclass(frozen=True)

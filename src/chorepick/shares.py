@@ -11,7 +11,11 @@ Three per-agent benchmarks, all in exact rational arithmetic:
   vector p >= 0 with sum 1 keeps every bundle cheaper than z strictly under
   the budget b. The agent can then always be forced to spend her budget on a
   bundle of disvalue at least z, and never worse. Each candidate z is one
-  exact packing LP over per-class prices.
+  exact packing LP over per-class prices, unless some class is in no maximal
+  cheap pattern: that LP is unbounded, so z is feasible.
+
+Both oracles compare integer costs, the row over its common denominator;
+only their results are Fractions.
 
 For chores the chain MMS >= APS >= CS holds, with each inequality sometimes
 strict; CS is the cheap analysis proxy, and the two oracles here exist to
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._simplex import LpUnbounded, maximize
-from .model import ChoreInstance, SizeGuardError, _exact_costs
+from ._simplex import maximize
+from .model import ChoreInstance, SizeGuardError, _exact_costs, _integer_row
 
 ZERO = Fraction(0)
 
@@ -74,13 +78,14 @@ def chore_share(costs: Sequence[Fraction], b: Fraction) -> Fraction:
 def mms_oracle(costs: Sequence[Fraction], n: int, *, force: bool = False) -> Fraction:
     """Exact maximin share for chores: min over n-partitions of the max bundle.
 
-    Depth-first search over partitions, pruned by bundle symmetry (never
-    place an item into two bundles of equal load) and by the best partition
-    found so far.
+    Depth-first search over partitions of the integer costs, pruned by
+    bundle symmetry (never place an item into two bundles of equal load) and
+    by the best partition found so far.
     """
     if n < 1:
         raise ValueError("need at least one bundle")
-    items = sorted((Fraction(c) for c in costs), reverse=True)
+    scale, row = _integer_row(costs)
+    items = sorted(row, reverse=True)
     m = len(items)
     if not force and (m > MMS_ITEM_LIMIT or n > MMS_AGENT_LIMIT):
         raise SizeGuardError(f"mms_oracle guard: {m} items / {n} bundles exceeds "
@@ -88,20 +93,19 @@ def mms_oracle(costs: Sequence[Fraction], n: int, *, force: bool = False) -> Fra
     if m == 0:
         return ZERO
     if n == 1:
-        return sum(items, ZERO)
+        return Fraction(sum(items), scale)
 
     # Greedy seed (largest item into the lightest bundle) gives an upper bound.
-    loads = [ZERO] * n
+    loads = [0] * n
     for it in items:
         loads[loads.index(min(loads))] += it
     best = [max(loads)]
 
-    _mms_descend(items, 0, [ZERO] * n, best)
-    return best[0]
+    _mms_descend(items, 0, [0] * n, best)
+    return Fraction(best[0], scale)
 
 
-def _mms_descend(items: list[Fraction], idx: int, loads: list[Fraction],
-                 best: list[Fraction]) -> None:
+def _mms_descend(items: list[int], idx: int, loads: list[int], best: list[int]) -> None:
     """Place items[idx:] into the bundle loads in every way that can still
     beat best[0], lowering best[0] to each better partition's max load."""
     if idx == len(items):
@@ -138,12 +142,16 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -
       over per-item class prices u exceeding 1/b. Its all-slack basis is
       feasible, so one simplex phase decides it.
 
-    Each pattern is tabled once with its cost and its reach: the cost plus
-    the cheapest class it still has room for (None when it holds every
-    item). It is inclusion-maximal below z iff cost < z <= reach.
+    Pattern costs are ints, over the row's common denominator. Each pattern
+    is tabled once with its cost and its reach: the cost plus the cheapest
+    class it still has room for (None when it holds every item). It is
+    inclusion-maximal below z iff cost < z <= reach. The LP's matrix is
+    nonnegative and sizes > 0, so it is unbounded exactly when there are no
+    rows or some class is in none (else every u_j <= 1): such a z is
+    feasible without an LP.
     """
     b = _check_entitlement(b)
-    row = [Fraction(c) for c in costs]
+    scale, row = _integer_row(costs)
     m = len(row)
     if not force and m > APS_ITEM_LIMIT:
         raise SizeGuardError(
@@ -156,25 +164,24 @@ def aps_oracle(costs: Sequence[Fraction], b: Fraction, *, force: bool = False) -
     sizes = [classes[v] for v in values]
     patterns = []
     for t in itertools.product(*(range(k + 1) for k in sizes)):
-        cost = sum((v * k for v, k in zip(values, t)), ZERO)
+        cost = sum(v * k for v, k in zip(values, t))
         cheapest = min((v for v, k, size in zip(values, t, sizes) if k < size), default=None)
         patterns.append((t, cost, None if cheapest is None else cost + cheapest))
     candidates = sorted({cost for _, cost, _ in patterns})
 
-    def infeasible(z: Fraction) -> bool:
+    def infeasible(z: int) -> bool:
         rows = [t for t, cost, reach in patterns
                 if cost < z and (reach is None or reach >= z)]
         # Class prices u >= 0 with every row priced at most 1 scale to a price
         # vector p = u / sizes.u whose dearest row costs 1 / sizes.u, so z is
-        # feasible iff max sizes.u exceeds 1/b (or is unbounded).
-        try:
-            value, _ = maximize(sizes, rows, [1] * len(rows))
-        except LpUnbounded:
+        # feasible iff max sizes.u exceeds 1/b or is unbounded.
+        if not rows or not all(map(any, zip(*rows))):
             return False
+        value, _ = maximize(sizes, rows, [1] * len(rows))
         return value * b <= 1
 
     # candidates[0] == 0 is always feasible; bisect finds the first infeasible one.
-    return candidates[bisect.bisect_left(candidates, True, 1, key=infeasible) - 1]
+    return Fraction(candidates[bisect.bisect_left(candidates, True, 1, key=infeasible) - 1], scale)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chorepick.model import (CELL_LIMIT, Allocation, ChoreInstance, InstanceError,
                              PickingOrder, PickingSequence, SizeGuardError, _exact_costs,
-                             guard_cells, load_instance, parse_rational, positions,
+                             _integer_row, guard_cells, load_instance, parse_rational, positions,
                              save_instance, to_order, to_sequence)
 from chorepick.shares import chore_share, proportional_share
 from chorepick.simulate import greedy_play, guaranteed_disvalue
@@ -35,6 +36,41 @@ class TestParsing:
         for bad in ("1e4301", "1E-4301", " 3.5e30000000 ", "1e" + "9" * 5000):
             with pytest.raises(InstanceError, match="not a rational"):
                 parse_rational(bad)
+
+
+def _reference_parse_rational(value):
+    """parse_rational's string branch before its "p" and "p/q" fast path."""
+    try:
+        exponent = int(value.lower().rpartition("e")[2]) if "e" in value or "E" in value else 0
+        if abs(exponent) <= 4300:
+            return F(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(f"not a rational: {value!r}") from exc
+    raise InstanceError(f"not a rational: {value!r} (exponents beyond 4300 are refused)")
+
+
+def _outcome(parse, value):
+    try:
+        return parse(value)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestParseFastPath:
+    # ASCII digits, the characters Fraction's own syntax uses, and digits
+    # outside ASCII ("²" passes str.isdigit, int() refuses it).
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text("0123456789/+-.e_ ²٣१", max_size=12),
+                     st.from_regex(r"\A[0-9]{1,8}(/[0-9]{1,8})?\Z")))
+    @example("1" * 4301)
+    @example("2/" + "1" * 4301)
+    @example("1/0")
+    @example("0/0")
+    @example("²")
+    @example("1/²")
+    def test_matches_the_reference(self, text):
+        got, want = _outcome(parse_rational, text), _outcome(_reference_parse_rational, text)
+        assert type(got) is type(want) and got == want
 
 
 class TestCellGuard:
@@ -282,6 +318,15 @@ class TestExactCosts:
         assert out == [3, third, 1, F(2, 7), F(1, 2)]
         assert [type(c) for c in out] == [int, F, F, F, F]
         assert out[1] is third
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost_rows())
+    def test_integer_row(self, row):
+        scale, ints = _integer_row(row)
+        exact = [F(c) for c in row]
+        assert [type(c) for c in ints] == [int] * len(row)
+        assert ints == [c * scale for c in exact]
+        assert scale == math.lcm(*(c.denominator for c in exact))
 
     @settings(max_examples=200, deadline=None)
     @given(cost_rows(), st.fractions(F(1, 20), 1, max_denominator=20).filter(bool))

@@ -95,6 +95,22 @@ class TestSimplex:
         assert all(v >= 0 for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) <= rhs for row, rhs in zip(a_ub, b_ub))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda nvar: st.tuples(
+        st.lists(st.integers(1, 4), min_size=nvar, max_size=nvar),
+        st.lists(st.lists(st.integers(0, 3), min_size=nvar, max_size=nvar), max_size=8))))
+    def test_packing_lp_is_unbounded_iff_a_column_is_zero(self, lp):
+        # aps_oracle answers these probes without an LP: with a nonnegative
+        # matrix, a positive objective and rhs 1, the LP is unbounded exactly
+        # when there are no rows or some column is all zero.
+        objective, a_ub = lp
+        b_ub = [1] * len(a_ub)
+        if not a_ub or not all(map(any, zip(*a_ub))):
+            with pytest.raises(LpUnbounded):
+                maximize(objective, a_ub, b_ub)
+        else:
+            assert maximize(objective, a_ub, b_ub)[0] == reference.maximize(objective, a_ub, b_ub)[0]
+
 
 class TestReferenceSimplex:
     """The two-phase reference solver's own cases: equality rows and
@@ -138,7 +154,24 @@ class TestChoreShare:
         assert cs >= max(row)
 
 
+# Ints beside Fractions over pairwise coprime denominators, primes near 10**6
+# among them, so a row's common denominator can reach about 10**18.
+PRIMES = (2, 3, 5, 7, 999983, 1000003, 1000033)
+MIXED_COST = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from(PRIMES).flatmap(lambda p: st.integers(0, 3 * p).map(lambda k: F(k, p))))
+
+
 class TestMmsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(MIXED_COST, min_size=1, max_size=7), st.integers(2, 3))
+    def test_matches_brute_force_partitions(self, row, n):
+        got = mms_oracle(row, n)
+        want = min(max(sum((c for c, who in zip(row, owners) if who == k), F(0))
+                       for k in range(n))
+                   for owners in itertools.product(range(n), repeat=len(row)))
+        assert type(got) is F and got == want
+
     def test_two_agents(self):
         assert mms_oracle([3, 2, 2, 1], 2) == 4
 
@@ -193,14 +226,17 @@ class TestApsOracle:
         assert aps_oracle([1, 1, 1], F(2, 3)) == 2
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from([F(0), F(1), F(1), F(2), F(3)]),
-                              st.fractions(0, 3, max_denominator=4)),
-                    min_size=1, max_size=10),
+    @given(st.one_of(st.lists(st.one_of(st.sampled_from([F(0), F(1), F(1), F(2), F(3)]),
+                                        st.fractions(0, 3, max_denominator=4)),
+                              min_size=1, max_size=10),
+                     st.lists(MIXED_COST, min_size=1, max_size=6)),
            st.one_of(st.integers(1, 6).map(lambda n: F(1, n)),
                      st.fractions(F(1, 12), 1, max_denominator=12)))
     def test_matches_the_dual_on_the_reference_solver(self, row, b):
-        # Tied costs come from the sampled values, zeros from both strategies.
-        assert aps_oracle(row, b) == _reference_aps(row, b)
+        # Tied costs come from the sampled values, zeros from both strategies;
+        # mixed rows put coprime denominators up to 10**6 in one row.
+        got = aps_oracle(row, b)
+        assert type(got) is F and got == _reference_aps(row, b)
 
 
 def _reference_aps(costs, b):
