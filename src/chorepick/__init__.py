@@ -10,8 +10,7 @@ audits.
 
 from .model import (Allocation, ChoreInstance, InstanceError, InvariantError,
                     PickingOrder, PickingSequence, SizeGuardError, equal_entitlements,
-                    load_instance, parse_rational, save_instance, to_order,
-                    to_sequence)
+                    load_instance, parse_rational, to_sequence)
 from .shares import (aps_oracle, chore_share, mms_oracle, proportional_share,
                      share_report)
 from .simulate import (evaluate_order, greedy_play, guaranteed_disvalue,

@@ -49,6 +49,8 @@ class AlgChoresResult:
 
     @property
     def rotations(self) -> int:
+        """Envy cycles rotated, counted from the trace alone: it reads 0
+        without ``trace=True``, even when cycles were rotated."""
         return sum(len(r.rotations) for r in self.trace)
 
 

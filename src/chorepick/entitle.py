@@ -48,7 +48,8 @@ from itertools import accumulate, islice
 from operator import ge
 from typing import Callable, Sequence
 
-from .model import ChoreInstance, PickingOrder, guard_cells, invariant, to_sequence
+from .model import (ChoreInstance, PickingOrder, _check_entitlements, guard_cells, invariant,
+                    parse_rational, to_sequence)
 from .ridge import ROOT_START, ln_bounds, root_bracket
 from .shares import chore_share
 from .simulate import greedy_play, worst_case_bundle
@@ -86,11 +87,12 @@ class ScalingFunction:
     t: Fraction = DEFAULT_T
 
     def __post_init__(self):
+        object.__setattr__(self, "t", parse_rational(self.t))
         if not 1 <= self.t <= 2:
             raise ValueError(f"scaling parameter must lie in [1, 2], got {self.t}")
 
     def __call__(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
+        x = parse_rational(x)
         if not 0 <= x <= 1:
             raise ValueError(f"scaling argument must lie in [0, 1], got {x}")
         if x * self.t >= 1:  # where the two pieces meet, and s(1) = t even at t = 1
@@ -104,7 +106,7 @@ class ScalingFunction:
 
 def half_plus_x(x: Fraction) -> Fraction:
     """The simple affine scaling used in worked fixtures (not production)."""
-    return HALF + Fraction(x)
+    return HALF + parse_rational(x)
 
 
 @dataclass(frozen=True)
@@ -196,11 +198,8 @@ def build_fractional(entitlements: Sequence[Fraction],
     appended when some row would otherwise have no strict fraction) is the
     allocation the rounding step consumes.
     """
-    b_orig = [Fraction(b) for b in entitlements]
-    if any(b <= 0 for b in b_orig):
-        raise ValueError("entitlements must be positive")
-    if sum(b_orig, ZERO) != 1:
-        raise ValueError(f"entitlements sum to {sum(b_orig, ZERO)}")
+    b_orig = [parse_rational(b) for b in entitlements]
+    _check_entitlements(b_orig)
     n = len(b_orig)
     order = sorted(range(n), key=lambda i: (b_orig[i], i))
     b = [b_orig[i] for i in order]
@@ -290,7 +289,9 @@ def round_to_order(alloc: FractionalAllocation,
     property for lower-responsibility agents.
     """
     n = alloc.n
-    b = [Fraction(x) for x in entitlements]
+    b = [parse_rational(x) for x in entitlements]
+    if len(b) != n:
+        raise ValueError(f"expected {n} entitlements, got {len(b)}")
     priority = sorted(range(n), key=lambda i: (b[i], i), reverse=True)
     received = [0] * n
     picks: list[int] = []
@@ -330,7 +331,7 @@ def verify_guarantee(entitlements: Sequence[Fraction], trials: int = 100,
         raise ValueError(f"need at least one chore, got m = {m}")
     if trials < 0:
         raise ValueError(f"trial count must be nonnegative, got trials = {trials}")
-    b = [Fraction(x) for x in entitlements]
+    b = [parse_rational(x) for x in entitlements]
     n = len(b)
     scaling = ScalingFunction()
     bound = scaling.guaranteed_ratio

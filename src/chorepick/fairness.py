@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import CELL_LIMIT, ChoreInstance, PickingSequence, SizeGuardError, _exact_costs
+from .model import (CELL_LIMIT, ChoreInstance, PickingSequence, SizeGuardError, _exact_costs,
+                    parse_rational)
 from .simulate import _greedy_picks, check_rounds, guaranteed_disvalue
 
 ZERO = Fraction(0)
@@ -108,6 +109,7 @@ def preliminary_stage(mode: str, seq: PickingSequence,
     _check_mode(mode)
     n = len(cost_rows)
     rng = random.Random(seed)
+    b = [parse_rational(x) for x in entitlements]
     guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
     if mode == "random_bijection":
         labels = list(range(1, n + 1))
@@ -118,7 +120,7 @@ def preliminary_stage(mode: str, seq: PickingSequence,
         rng.shuffle(agents)
         return _greedy_label_order(guarantees, agents)
     order = sorted(range(1, n + 1),
-                   key=lambda a: (Fraction(entitlements[a - 1]), rng.random()))
+                   key=lambda a: (b[a - 1], rng.random()))
     return _greedy_label_order(guarantees, order)
 
 
@@ -153,7 +155,7 @@ def ef_ra_audit(seq: PickingSequence, mode: str,
     n = len(cost_rows)
     if n > ENUMERATION_LIMIT:
         raise SizeGuardError(f"audit enumerates {n}! stage orders; limit is {ENUMERATION_LIMIT}")
-    b = [Fraction(x) for x in entitlements]
+    b = [parse_rational(x) for x in entitlements]
     agents = range(1, n + 1)
     guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in agents}
     # Label round sets partition the rounds and round r guarantees the r-th cheapest

@@ -101,6 +101,18 @@ def _integer_row(costs: Iterable) -> tuple[int, list[int]]:
     return scale, [c.numerator * (scale // c.denominator) for c in row]
 
 
+def _check_entitlements(entitlements: Sequence) -> None:
+    """Refuse entitlements unless they are positive ints or Fractions summing to 1."""
+    for i, b in enumerate(entitlements, start=1):
+        if type(b) not in (int, Fraction):  # floats are inexact; a bool is no number
+            raise InstanceError(f"entitlement of agent {i} is not a rational: {b!r} (pass an int or a Fraction)")
+        if b <= 0:
+            raise InstanceError(f"entitlement of agent {i} is {b}, must be positive")
+    total = sum(entitlements)
+    if total != 1:
+        raise InstanceError(f"entitlements sum to {total}")
+
+
 @dataclass(frozen=True)
 class ChoreInstance:
     """n agents with exact entitlements and an n-by-m nonnegative cost matrix."""
@@ -111,14 +123,7 @@ class ChoreInstance:
     def __post_init__(self):
         if not self.entitlements:
             raise InstanceError("instance needs at least one agent")
-        for i, b in enumerate(self.entitlements, start=1):
-            if type(b) not in (int, Fraction):  # floats are inexact; a bool is no number
-                raise InstanceError(f"entitlement of agent {i} is not a rational: {b!r} (pass an int or a Fraction)")
-            if b <= 0:
-                raise InstanceError(f"entitlement of agent {i} is {b}, must be positive")
-        total = sum(self.entitlements)
-        if total != 1:
-            raise InstanceError(f"entitlements sum to {total}")
+        _check_entitlements(self.entitlements)
         if len(self.costs) != len(self.entitlements):
             raise InstanceError(
                 f"expected {len(self.entitlements)} cost rows, got {len(self.costs)}")
@@ -197,12 +202,6 @@ def load_instance(path) -> ChoreInstance:
     if isinstance(data, dict) and "agents" not in data and "instance" in data:
         data = data["instance"]  # accept a generator report as-is
     return ChoreInstance.from_dict(data)
-
-
-def save_instance(inst: ChoreInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(inst.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def equal_entitlements(n: int) -> tuple[Fraction, ...]:
@@ -291,10 +290,6 @@ def to_sequence(order: PickingOrder, m: int | None = None) -> PickingSequence:
             raise InstanceError("periodic order needs an explicit length to convert")
         m = len(order.prefix)
     return PickingSequence(tuple(reversed(order.expand(m))))
-
-
-def to_order(seq: PickingSequence) -> PickingOrder:
-    return PickingOrder(prefix=tuple(reversed(seq.rounds)))
 
 
 @dataclass(frozen=True)

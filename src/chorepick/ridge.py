@@ -63,7 +63,7 @@ from functools import cached_property
 from itertools import chain, count, repeat, zip_longest
 from typing import Iterable, Sequence
 
-from .model import InstanceError, PickingOrder, SizeGuardError, invariant
+from .model import InstanceError, PickingOrder, SizeGuardError, invariant, parse_rational
 
 EXACT_RATIO_LIMIT = 128
 RATE_SCALE = 1 << 64   # fixed-point scale of the certified covering bounds
@@ -176,7 +176,7 @@ def ridge_periods(n: int, rho: Fraction, mode: str = "agent") -> ThresholdSchedu
     >>> sched.periods
     (Fraction(7, 1), Fraction(14, 3), Fraction(14, 5), Fraction(7, 2))
     """
-    rho = Fraction(rho)
+    rho = parse_rational(rho)
     if n < 1:
         raise ValueError(f"need at least one agent, got n = {n}")
     if rho <= 1:
@@ -552,7 +552,7 @@ def best_ratio_search(n: int, mode: str = "agent",
                       tol: Fraction = Fraction(1, 1000)) -> Fraction:
     """Smallest rho (within tol) in [SEARCH_LO, SEARCH_HI] whose covering
     test passes outright."""
-    tol = Fraction(tol)
+    tol = parse_rational(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lo, hi = SEARCH_LO, SEARCH_HI

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._simplex import maximize
-from .model import ChoreInstance, SizeGuardError, _exact_costs, _integer_row
+from .model import ChoreInstance, SizeGuardError, _exact_costs, _integer_row, parse_rational
 
 ZERO = Fraction(0)
 
@@ -43,7 +43,7 @@ APS_ITEM_LIMIT = 12
 
 
 def _check_entitlement(b: Fraction) -> Fraction:
-    b = Fraction(b)
+    b = parse_rational(b)
     if not 0 < b <= 1:
         raise ValueError(f"entitlement must lie in (0, 1], got {b}")
     return b

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .model import (Allocation, ChoreInstance, PickingOrder, PickingSequence, _exact_costs,
-                    positions)
+                    parse_rational, positions)
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -129,7 +129,7 @@ def worst_case_bundle(positions: Iterable[int], m: int, cap: int,
     J = sorted(set(positions))
     if any(not 1 <= j <= m for j in J):
         raise ValueError(f"positions must lie in 1..{m}")
-    budget = Fraction(budget)
+    budget = parse_rational(budget)
     P, Q = budget.numerator, budget.denominator
     cap = min(cap, m)
 

@@ -195,6 +195,13 @@ class TestRounding:
         alloc = FractionalAllocation(shares=((F(1),) * 3,), first_fractional=(None,))
         assert round_to_order(alloc, [F(1)]).prefix == (1, 1, 1)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_entitlement_per_agent(self, count):
+        # One for two agents used to raise IndexError; three dropped the third.
+        alloc = FractionalAllocation(shares=((F(1, 2),) * 4,) * 2, first_fractional=(1, 1))
+        with pytest.raises(ValueError, match=f"expected 2 entitlements, got {count}"):
+            round_to_order(alloc, [F(1, count)] * count)
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_rounding_respects_eligibility_and_ceilings(self, data):
