@@ -16,8 +16,8 @@ which makes envy auditable without modeling beliefs:
   responsibility (ties shuffled) keeps lower-responsibility agents from
   envying weakly higher ones ex ante.
 
-`ef_ra_audit` checks the last three for n <= 6 over one list of equally likely
-agent orders: shuffles within responsibility tiers (label_pick has one tier).
+`ef_ra_audit` checks the last three exactly for n <= 12: it counts the agent
+orders (shuffles within responsibility tiers) reaching each (placed, taken) state.
 
 `envy_tension_example` builds the responsibility vector on kn+1 chores
 (k = n-2) witnessing that no sequence can both avoid such envy and stay
@@ -27,6 +27,7 @@ below 2 - 4/n times the anyprice share for the heaviest agent.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .simulate import _greedy_picks, check_rounds, guaranteed_disvalue
 ZERO = Fraction(0)
 
 STAGE_MODES = ("random_bijection", "label_pick", "prsd")
-ENUMERATION_LIMIT = 6
+AUDIT_LIMIT = 12   # random rows reach about 6,000 (placed, taken) audit states at n = 12
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,15 @@ def label_guarantees(seq: PickingSequence, costs: Sequence[Fraction],
     return dict(enumerate((guaranteed_disvalue(costs, rounds) for rounds in held), start=1))
 
 
-def _greedy_label_order(guarantees, agent_order):
-    """Each agent in turn takes the remaining label with the smallest
-    guarantees[agent][label] (ties: lower label)."""
-    labels = _greedy_picks([guarantees[a] for a in agent_order], range(1, len(guarantees) + 1))
-    return dict(zip(agent_order, labels))
-
-
-def _check_mode(mode: str) -> None:
+def _stage_inputs(mode: str, seq: PickingSequence, cost_rows, entitlements):
+    """Check the mode and the count; return n, parsed b and every label guarantee."""
     if mode not in STAGE_MODES:
         raise ValueError(f"unknown stage mode {mode!r}; choose from {STAGE_MODES}")
+    n = len(cost_rows)
+    b = [parse_rational(x) for x in entitlements]
+    if len(b) != n:
+        raise ValueError(f"expected {n} entitlements, got {len(b)}")
+    return n, b, {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
 
 
 def preliminary_stage(mode: str, seq: PickingSequence,
@@ -106,22 +106,16 @@ def preliminary_stage(mode: str, seq: PickingSequence,
     label). prsd: agents ordered by ascending responsibility with random tie
     shuffle, then the same greedy label pick.
     """
-    _check_mode(mode)
-    n = len(cost_rows)
+    n, b, guarantees = _stage_inputs(mode, seq, cost_rows, entitlements)
     rng = random.Random(seed)
-    b = [parse_rational(x) for x in entitlements]
-    guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
-    if mode == "random_bijection":
-        labels = list(range(1, n + 1))
-        rng.shuffle(labels)
-        return {agent: labels[agent - 1] for agent in range(1, n + 1)}
-    if mode == "label_pick":
-        agents = list(range(1, n + 1))
+    agents = list(range(1, n + 1))
+    if mode == "prsd":
+        agents.sort(key=lambda a: (b[a - 1], rng.random()))
+    else:
         rng.shuffle(agents)
-        return _greedy_label_order(guarantees, agents)
-    order = sorted(range(1, n + 1),
-                   key=lambda a: (b[a - 1], rng.random()))
-    return _greedy_label_order(guarantees, order)
+    if mode == "random_bijection":
+        return dict(enumerate(agents, start=1))
+    return dict(zip(agents, _greedy_picks([guarantees[a] for a in agents], range(1, n + 1))))
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,7 @@ class AuditReport:
 def ef_ra_audit(seq: PickingSequence, mode: str,
                 cost_rows: Sequence[Sequence[Fraction]],
                 entitlements: Sequence[Fraction]) -> AuditReport:
-    """Exhaustively audit a stage mode over its randomness (n <= 6).
+    """Exactly audit a stage mode over its randomness (n <= 12).
 
     Checks, where applicable to the mode: the mean label guarantee equals
     the proportional share exactly (equal entitlements); under label_pick
@@ -151,30 +145,36 @@ def ef_ra_audit(seq: PickingSequence, mode: str,
     uniform; under prsd no agent ex-ante prefers the label set of a weakly
     higher-responsibility agent.
     """
-    _check_mode(mode)
-    n = len(cost_rows)
-    if n > ENUMERATION_LIMIT:
-        raise SizeGuardError(f"audit enumerates {n}! stage orders; limit is {ENUMERATION_LIMIT}")
-    b = [parse_rational(x) for x in entitlements]
+    if len(cost_rows) > AUDIT_LIMIT:
+        raise SizeGuardError(f"audit of {len(cost_rows)} agents exceeds the guard of {AUDIT_LIMIT}")
+    n, b, guarantees = _stage_inputs(mode, seq, cost_rows, entitlements)
     agents = range(1, n + 1)
-    guarantees = {a: label_guarantees(seq, cost_rows[a - 1], n) for a in agents}
     # Label round sets partition the rounds and round r guarantees the r-th cheapest
     # chore, so each row's label guarantees sum to its total: their mean is total/n.
-    mean_ok = None
-    if all(x == b[0] for x in b):
-        mean_ok = all(sum(guarantees[a].values(), ZERO) == sum(_exact_costs(cost_rows[a - 1]))
-                      for a in agents)
+    mean_ok = all(sum(guarantees[a].values(), ZERO) == sum(_exact_costs(cost_rows[a - 1]))
+                  for a in agents) if len(set(b)) <= 1 else None
     if mode == "random_bijection":
         return AuditReport(mode, mean_ok, None, None)
     tiers = [agents] if mode == "label_pick" else [
         [a for a in agents if b[a - 1] == x] for x in sorted(set(b))]
-    outcomes = [_greedy_label_order(guarantees, [a for tier in shuffles for a in tier])
-                for shuffles in itertools.product(*map(itertools.permutations, tiers))]
-    received = {a: Counter(got[a] for got in outcomes) for a in agents}
+    ranked = {a: sorted(row, key=lambda lab: (row[lab], lab)) for a, row in guarantees.items()}
+    # The stage orders (tier shuffles) reaching each state (agents placed, labels taken,
+    # as bitmasks): the next agent is uniform over her tier's `left` unplaced agents.
+    received = {a: Counter() for a in agents}
+    states = {(0, 0): math.prod(math.factorial(len(tier)) for tier in tiers)}
+    for tier in tiers:
+        for left in range(len(tier), 0, -1):
+            after = Counter()
+            for (placed, taken), orders in states.items():
+                for a in tier:
+                    if not placed >> a & 1:
+                        lab = next(lab for lab in ranked[a] if not taken >> lab & 1)
+                        received[a][lab] += orders // left
+                        after[placed | 1 << a, taken | 1 << lab] += orders // left
+            states = after
     if mode == "label_pick":
-        # Each agent's k+1 cheapest labels reach her at least (k+1)/n of the time.
-        ranked = {a: sorted(row, key=lambda lab: (row[lab], lab)) for a, row in guarantees.items()}
-        dominates = all(n * top >= (k + 1) * len(outcomes) for a in agents for k, top in
+        # Each agent's k+1 cheapest labels reach her in at least (k+1)/n of the n! orders.
+        dominates = all(n * top >= (k + 1) * math.factorial(n) for a in agents for k, top in
                         enumerate(itertools.accumulate(received[a][lab] for lab in ranked[a])))
         return AuditReport(mode, mean_ok, dominates, None)
     # p's summed guarantee on her own labels, minus on q's, both under p's costs.

@@ -1,10 +1,11 @@
 """Reference envy audit for the tests.
 
-The package's earlier ``ef_ra_audit``, kept verbatim: ``label_pick`` walks all
-n! agent orders into a per-rank hit table, and ``prsd`` separately adds up an
-n-by-n table of held guarantees over its tier shuffles.
-``chorepick.fairness.ef_ra_audit`` must return an equal ``AuditReport`` for
-every stage mode, or raise the same error.
+An earlier ``ef_ra_audit`` of the package, kept verbatim with its own n <= 6
+guard and greedy label order: ``label_pick`` walks all n! agent orders into a
+per-rank hit table, and ``prsd`` separately adds up an n-by-n table of held
+guarantees over its tier shuffles. ``chorepick.fairness.ef_ra_audit`` must
+return an equal ``AuditReport`` for every stage mode, or raise the same error,
+wherever this enumeration can run.
 """
 
 from __future__ import annotations
@@ -13,11 +14,19 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from chorepick.fairness import (ENUMERATION_LIMIT, AuditReport, _greedy_label_order,
-                                label_guarantees)
+from chorepick.fairness import AuditReport, label_guarantees
 from chorepick.model import PickingSequence, SizeGuardError, _exact_costs
+from chorepick.simulate import _greedy_picks
 
 ZERO = Fraction(0)
+ENUMERATION_LIMIT = 6
+
+
+def _greedy_label_order(guarantees, agent_order):
+    """Each agent in turn takes the remaining label with the smallest
+    guarantees[agent][label] (ties: lower label)."""
+    labels = _greedy_picks([guarantees[a] for a in agent_order], range(1, len(guarantees) + 1))
+    return dict(zip(agent_order, labels))
 
 
 def ef_ra_audit(seq: PickingSequence, mode: str,

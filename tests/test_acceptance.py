@@ -6,13 +6,14 @@ to later calibration.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
 
 from chorepick.algchores import alg_chores, tight_example
 from chorepick.entitle import build_fractional, half_plus_x, solve_t, verify_guarantee
-from chorepick.fairness import suffix_envy_condition
+from chorepick.fairness import ef_ra_audit, suffix_envy_condition
 from chorepick.model import ChoreInstance, PickingOrder, PickingSequence, equal_entitlements
 from chorepick.ridge import (covering_test, fixed_order, halve_thresholds,
                              ridge_periods, solve_rho_star, synthesize_order)
@@ -342,3 +343,45 @@ def test_criterion_14_closed_loop_at_every_n():
     elapsed = time.perf_counter() - start
     report("criterion 14: covering -> synthesis -> exact evaluation at every passing n <= 128, <10s",
            ok and elapsed < 10.0, "; ".join(details) + f"; {elapsed:.1f}s")
+
+
+def test_criterion_15_ex_ante_envy_past_six_agents():
+    # The paper's ex-ante envy claims past six agents, on the audit's exact
+    # count of stage orders: greedy label picking in random order dominates
+    # uniform, and prsd on the construction's order leaves no agent envying a
+    # weakly more responsible one.
+    start = time.perf_counter()
+    rng = random.Random(15)
+    dominated = 0
+    for n in range(7, 13):
+        for _ in range(4):
+            m = rng.randint(n, 4 * n)
+            rows = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+            seq = PickingSequence(tuple(rng.randint(1, n) for _ in range(m)))
+            dominated += ef_ra_audit(seq, "label_pick", rows, [F(1, n)] * n).dominates_uniform
+    m = 60
+    envy_free = 0
+    for n in range(2, 11):
+        for _ in range(8):
+            weights = [rng.randint(1, 4) for _ in range(n)]
+            b = [F(w, sum(weights)) for w in weights]
+            assert m >= max(n, math.ceil(1 / min(b)))   # the order is not a truncation
+            order = verify_guarantee(b, trials=0, m=m).order
+            rows = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+            envy_free += ef_ra_audit(PickingSequence(tuple(reversed(order))), "prsd",
+                                     rows, b).no_upward_envy
+    # Cut at m = 12, the order for these entitlements stops short of the 27
+    # columns the construction needs, and some agent envies a weakly more
+    # responsible one ex ante.
+    b = [F(2, 9)] * 3 + [F(2, 27), F(2, 9), F(1, 27)]
+    truncated = verify_guarantee(b, trials=0, m=12).order
+    rows = [[2, 1, 7, 5, 3, 3, 7, 7, 2, 7, 4, 7], [4, 3, 4, 1, 5, 8, 2, 3, 2, 3, 3, 5],
+            [9, 8, 3, 7, 3, 4, 4, 0, 5, 6, 3, 6], [8, 5, 9, 9, 8, 4, 4, 9, 4, 8, 1, 4],
+            [7, 9, 8, 2, 7, 2, 3, 3, 6, 2, 6, 8], [7, 9, 1, 3, 9, 4, 8, 5, 8, 7, 1, 7]]
+    cut = ef_ra_audit(PickingSequence(tuple(reversed(truncated))), "prsd", rows, b)
+    elapsed = time.perf_counter() - start
+    report("criterion 15: label_pick dominance at n = 7..12, prsd without upward envy "
+           "on whole construction orders at n <= 10, <5s",
+           dominated == 24 and envy_free == 72 and cut.no_upward_envy is False and elapsed < 5.0,
+           f"dominance {dominated}/24, no upward envy {envy_free}/72, "
+           f"truncated order at m = 12: {cut.no_upward_envy}; {elapsed:.1f}s")

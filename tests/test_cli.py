@@ -349,6 +349,16 @@ class TestErrorExits:
         assert code == EXIT_GUARD
         assert out == "" and "guard" in err and err.count("\n") == 1
 
+    def test_audit_size_guard(self, capsys, tmp_path):
+        # The envy audit counts stage orders for at most 12 agents.
+        path = tmp_path / "thirteen.json"
+        path.write_text(json.dumps(payload(capsys, "gen", "--n", "13", "--m", "13")["instance"]))
+        seq = ",".join(map(str, range(1, 14)))
+        code, out, err = run(capsys, "envy", "--seq", seq, "--audit", "label_pick",
+                             "--input", str(path))
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err == "error: audit of 13 agents exceeds the guard of 12\n"
+
     def test_out_of_memory_is_a_size_guard_exit(self, run_python):
         # Under the 2^24-cell guard, but past a 192 MiB address space: the
         # evaluator's MemoryError ends in exit 5 and one error line.

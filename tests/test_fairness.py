@@ -11,7 +11,7 @@ from chorepick.entitle import round_to_order
 from chorepick.fairness import (STAGE_MODES, ef_ra_audit, envy_tension_example,
                                 label_guarantees, preliminary_stage, suffix_envy_condition,
                                 tension_instance)
-from chorepick.model import ChoreInstance, PickingSequence, to_sequence
+from chorepick.model import ChoreInstance, PickingSequence, SizeGuardError, to_sequence
 from chorepick.shares import aps_oracle, proportional_share
 from chorepick.simulate import greedy_play, guaranteed_disvalue
 
@@ -91,11 +91,11 @@ def _stage_cases(draw):
 
 @st.composite
 def _audit_cases(draw):
-    """(seq, rows, entitlements) for the audit: n up to one past the
-    enumeration guard, few distinct costs and entitlements so that guarantee
-    and responsibility ties occur, and now and then a sequence of the wrong
-    length or with a label outside 1..n."""
-    n = draw(st.integers(0, 7))
+    """(seq, rows, entitlements) for the audit: n up to 6, as far as the
+    reference can enumerate, few distinct costs and entitlements so that
+    guarantee and responsibility ties occur, and now and then a sequence of
+    the wrong length or with a label outside 1..n."""
+    n = draw(st.integers(0, 6))
     m = draw(st.integers(0, 12))
     k = draw(st.sampled_from([1, 3, 9]))
     rows = tuple(tuple(F(c) for c in draw(st.lists(st.integers(0, k), min_size=m, max_size=m)))
@@ -224,6 +224,31 @@ class TestAudit:
         for mode in STAGE_MODES:
             with pytest.raises(ValueError, match=message):
                 preliminary_stage(mode, PickingSequence(rounds), rows, ents)
+
+    @pytest.mark.parametrize("mode", STAGE_MODES)
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_entitlement_per_cost_row(self, mode, count):
+        # One entitlement for two rows used to end in a bare IndexError under
+        # prsd, and a third one was silently ignored.
+        seq, rows, ents = PickingSequence((1, 2)), ((F(1), F(1)),) * 2, [F(1, 2)] * count
+        message = f"expected 2 entitlements, got {count}"
+        with pytest.raises(ValueError, match=message):
+            ef_ra_audit(seq, mode, rows, ents)
+        with pytest.raises(ValueError, match=message):
+            preliminary_stage(mode, seq, rows, ents)
+
+    @pytest.mark.parametrize("mode", STAGE_MODES)
+    def test_size_guard(self, mode):
+        # The audit counts stage orders up to 12 agents, past the reference's 6.
+        rng = random.Random(7)
+        for n in (7, 13):
+            rows = tuple(tuple(F(rng.randint(0, 9)) for _ in range(n)) for _ in range(n))
+            seq = PickingSequence(tuple(range(1, n + 1)))
+            if n > 12:
+                with pytest.raises(SizeGuardError, match="audit of 13 agents exceeds the guard"):
+                    ef_ra_audit(seq, mode, rows, [F(1, n)] * n)
+            else:
+                assert ef_ra_audit(seq, mode, rows, [F(1, n)] * n).mode == mode
 
     def test_unknown_mode(self):
         rows, ents = ((F(3), F(2), F(1)),) * 2, [F(1, 2)] * 2

@@ -46,6 +46,9 @@ CASES = {
                        + ",".join(str(r % 11 + 1) for r in range(100)),
     "envy-audit-label-pick": "envy --seq 1,2,3,3,2,1 --audit label_pick --input @general.json",
     "envy-audit-prsd": "envy --seq 3,4,4,3,4,4,4,4,4,3,2,1 --audit prsd --input @audit4.json",
+    # Eight agents: past the n <= 6 of the reference enumeration in tests/.
+    "envy-audit-label-pick-8": "envy --seq 1,2,3,4,5,6,7,8,8,7,6,5,4,3,2,1 --audit label_pick "
+                               "--input @audit8.json",
     "algchores-trace-aps": "algchores --input @tight3.json --trace --with-aps",
     "algchores-untraced": "algchores --input @general.json",
     "algchores-general-trace": "algchores --input @general.json --trace",
