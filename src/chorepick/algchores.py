@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import (Allocation, ChoreInstance, PickingOrder, _integer_row, equal_entitlements,
-                    invariant, to_sequence)
-from .simulate import greedy_play
+from .model import Allocation, ChoreInstance, _integer_row, equal_entitlements, invariant
+from .simulate import _greedy_picks
 
 
 @dataclass(frozen=True)
@@ -121,24 +120,24 @@ def alg_chores(inst: ChoreInstance, *, trace: bool = False) -> AlgChoresResult:
     """Run the round-based allocation on the common-order reduction (each
     agent's costs sorted worst-first, which maps a common-order instance to
     itself) and map the result back to the real chores."""
-    scaled = ChoreInstance(inst.entitlements,
-                           tuple(tuple(_integer_row(row)[1]) for row in inst.costs))
-    surrogate = [sorted(row, reverse=True) for row in scaled.costs]
-    bundles, rounds, held = _core(surrogate, inst.m, trace)
+    rows = [_integer_row(row)[1] for row in inst.costs]
+    bundles, rounds, held = _core([sorted(row, reverse=True) for row in rows], inst.m, trace)
 
     # Replay the surrogate rounds best-to-worst on the real chores: the
-    # picking sequence that mirrors the surrogate's allocation order.
-    owners = [0] * inst.m
-    for i, bundle in enumerate(bundles, start=1):
+    # recipients in reverse allocation order, each taking her cheapest one.
+    pickers = [0] * inst.m
+    for i, bundle in enumerate(bundles):
         for r in bundle:
-            owners[r - 1] = i
-    real = greedy_play(to_sequence(PickingOrder(tuple(owners))), scaled)
-    for i in range(1, inst.n + 1):  # held[i-1][i-1]: agent i's surrogate bundle
-        invariant(scaled.bundle_cost(i, real.bundle(i)) <= held[i - 1][i - 1],
+            pickers[inst.m - r] = i
+    real = [[] for _ in bundles]
+    for i, chore in zip(pickers, _greedy_picks([rows[i] for i in pickers], range(inst.m))):
+        real[i].append(chore + 1)
+    for i, bundle in enumerate(real):  # held[i][i]: agent i's surrogate bundle
+        invariant(sum(rows[i][j - 1] for j in bundle) <= held[i][i],
                   "reduction must not worsen any bundle")
 
     return AlgChoresResult(
-        allocation=real,
+        allocation=Allocation.from_lists(real),
         surrogate_allocation=Allocation.from_lists(bundles),
         trace=tuple(rounds),
     )

@@ -79,9 +79,16 @@ def suffix_envy_condition(seq: PickingSequence, i: int, j: int) -> SuffixEnvyRes
 def label_guarantees(seq: PickingSequence, costs: Sequence[Fraction],
                      n: int) -> dict[int, Fraction]:
     """Guarantee of each label's round set under one agent's costs."""
+    return {lab: Fraction(g) for lab, g in _label_sums(seq, costs, n).items()}
+
+
+def _label_sums(seq: PickingSequence, costs, n: int) -> dict:
+    """`label_guarantees` in the costs' own type, from one ranking of the row:
+    round r guarantees the r-th cheapest cost, as in `guaranteed_disvalue`."""
     held = seq.positions(n)   # refuses a label outside 1..n first
     check_rounds(seq, len(costs))
-    return dict(enumerate((guaranteed_disvalue(costs, rounds) for rounds in held), start=1))
+    ranked = sorted(_exact_costs(costs))
+    return {lab: sum(ranked[r - 1] for r in rounds) for lab, rounds in enumerate(held, start=1)}
 
 
 def _stage_inputs(mode: str, seq: PickingSequence, cost_rows, entitlements):
@@ -92,7 +99,7 @@ def _stage_inputs(mode: str, seq: PickingSequence, cost_rows, entitlements):
     b = [parse_rational(x) for x in entitlements]
     if len(b) != n:
         raise ValueError(f"expected {n} entitlements, got {len(b)}")
-    return n, b, {a: label_guarantees(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
+    return n, b, {a: _label_sums(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
 
 
 def preliminary_stage(mode: str, seq: PickingSequence,

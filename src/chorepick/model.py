@@ -5,9 +5,9 @@ Conventions used throughout the package:
 - Agents are numbered 1..n and chores 1..m. An instance is in *common order*
   (all agents rank chores the same way) when every cost row is nonincreasing
   in the chore index; chore 1 is then the worst chore for everybody.
-- All numeric data is exact. Entitlements and costs are Fractions (costs may
-  be ints); instance files carry rationals as strings ("3/7", "0.25"), parsed
-  exactly. Floats are rejected at the boundary so no rounding ever enters.
+- All numeric data is exact. Entitlements are Fractions, costs ints or
+  Fractions; a file's "3/7" or "0.25" loads as a Fraction, "17" or 17 as an
+  int. Floats are rejected at the boundary so no rounding ever enters.
 - A *picking order* lists, for each allocation round r, the agent who
   receives chore r (rounds walk chores from worst to best). A *picking
   sequence* lists, for each picking round, the agent who picks her best
@@ -60,19 +60,20 @@ def invariant(holds: bool, message: str) -> None:
 EXPONENT_LIMIT = 4300
 
 
-def parse_rational(value) -> Fraction:
-    """Parse "p/q", a decimal string, or an int into an exact Fraction."""
+def _parse_exact(value) -> int | Fraction:
+    """Parse "p/q", a decimal string, an int or a Fraction exactly: an int or a
+    plain ASCII digit string gives an int, anything else a Fraction."""
     if isinstance(value, bool):
         raise InstanceError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return int(value) if isinstance(value, int) else Fraction(value)
     if isinstance(value, str):
         try:
             # Plain "p" and "p/q" skip Fraction's regex. isascii first:
             # str.isdigit holds for "²", which int() refuses.
             if value.isascii():
                 if value.isdigit():
-                    return Fraction(int(value))
+                    return int(value)
                 p, _, q = value.partition("/")
                 if p.isdigit() and q.isdigit():
                     return Fraction(int(p), int(q))
@@ -84,6 +85,11 @@ def parse_rational(value) -> Fraction:
         raise InstanceError(f"not a rational: {value!r} (exponents beyond {EXPONENT_LIMIT} "
                             f"are refused)")
     raise InstanceError(f"not a rational: {value!r} (floats are rejected; pass a string)")
+
+
+def parse_rational(value) -> Fraction:
+    """Parse "p/q", a decimal string, an int or a Fraction into an exact Fraction."""
+    return Fraction(_parse_exact(value))
 
 
 def _exact_costs(costs: Iterable) -> list:
@@ -131,6 +137,9 @@ class ChoreInstance:
         for i, row in enumerate(self.costs, start=1):
             if len(row) != m:
                 raise InstanceError(f"agent {i} has {len(row)} costs, expected {m}")
+            # One pass per row; only a failing row walks its entries, for the diagnostic.
+            if {int, Fraction}.issuperset(map(type, row)) and min(row, default=0) >= 0:
+                continue
             for j, c in enumerate(row, start=1):
                 if type(c) not in (int, Fraction):
                     raise InstanceError(f"cost of chore {j} for agent {i} is not a rational: {c!r} (pass an int or a Fraction)")
@@ -181,7 +190,7 @@ class ChoreInstance:
                 raise InstanceError(f"cost row of agent {i} must list {m} chores")
         return cls(
             entitlements=tuple(parse_rational(b) for b in ents),
-            costs=tuple(tuple(parse_rational(c) for c in row) for row in rows),
+            costs=tuple(tuple(map(_parse_exact, row)) for row in rows),
         )
 
 

@@ -101,9 +101,9 @@ class TestAlgorithm:
     def test_reduction_check_compares_on_the_agent_scale(self, monkeypatch):
         # The swapped replay gives agent 2 the chore of 6/7 where her
         # surrogate bundle cost 1/7: on her scale 6 > 1, though 6/7 <= 1.
-        play = algchores.greedy_play
-        monkeypatch.setattr(algchores, "greedy_play",
-                            lambda seq, inst: Allocation(play(seq, inst).bundles[::-1]))
+        picks = algchores._greedy_picks
+        monkeypatch.setattr(algchores, "_greedy_picks",
+                            lambda rows, items: picks(rows, items)[::-1])
         inst = make(2, [[F(6, 7), F(1, 7)]] * 2)
         with pytest.raises(InvariantError, match="must not worsen"):
             alg_chores(inst)

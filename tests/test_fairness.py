@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -343,6 +344,29 @@ class TestRoundingRecipeEnvy:
         seq = PickingSequence(tuple(rng.randint(1, 3) for _ in range(7)))
         gs = label_guarantees(seq, row, 3)
         assert sum(gs.values()) == sum(row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_label_guarantees_match_guaranteed_disvalue(self, n, data):
+        # Int and Fraction costs mixed in one row, with ties; labels may hold no round.
+        m = data.draw(st.integers(0, 10))
+        cost = st.one_of(st.integers(0, 9), st.fractions(0, 9, max_denominator=7))
+        row = data.draw(st.lists(cost, min_size=m, max_size=m))
+        seq = PickingSequence(tuple(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))))
+        got = label_guarantees(seq, row, n)
+        held = seq.positions(n)
+        assert got == {lab: guaranteed_disvalue(row, held[lab - 1]) for lab in range(1, n + 1)}
+        assert all(type(g) is F for g in got.values())
+
+    def test_label_pick_at_500_agents(self):
+        # Ranking the row once per label made this stage take about 8 s.
+        rng = random.Random(5)
+        rows = [[rng.randint(0, 9) for _ in range(500)] for _ in range(500)]
+        seq = PickingSequence(tuple(rng.randint(1, 500) for _ in range(500)))
+        start = time.perf_counter()
+        stage = preliminary_stage("label_pick", seq, rows, [F(1, 500)] * 500)
+        assert time.perf_counter() - start < 1
+        assert sorted(stage.values()) == list(range(1, 501))
 
     def test_suffix_condition_bounds_guarantees_for_any_costs(self):
         # When the count condition holds, j's rounds guarantee at least as

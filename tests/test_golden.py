@@ -53,8 +53,11 @@ CASES = {
     "algchores-untraced": "algchores --input @general.json",
     "algchores-general-trace": "algchores --input @general.json --trace",
     "algchores-general-aps": "algchores --input @general.json --with-aps",
+    # Costs as digit strings (one with leading zeros), JSON ints, "p/q" and decimals.
+    "algchores-mixed-aps": "algchores --input @mixed.json --with-aps",
     "shares-no-mms": "shares --input @tight3.json --no-mms",
     "shares-general": "shares --input @general.json",
+    "shares-mixed": "shares --input @mixed.json",
     "search": "search --n 4 --tol 1/100",
     "build-half-plus-x": "build --entitlements 1/8,3/8,1/2 --m 12 --scaling half-plus-x",
     "build-no-trace": "build --entitlements 1/6,1/6,1/3,1/3 --m 14 --no-trace",

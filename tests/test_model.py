@@ -164,6 +164,46 @@ class TestInstance:
                                      "entitlements": ["1"], "costs": [[1]]})
 
 
+# Cost entries as an instance file writes them: JSON ints, digit strings (some
+# with leading zeros), "p/q" and decimals.
+COST_ENTRIES = st.one_of(
+    st.integers(0, 10 ** 20),
+    st.integers(0, 10 ** 20).map(str),
+    st.integers(0, 999).map(lambda k: f"00{k}"),
+    st.fractions(0, 50, max_denominator=12).map(lambda c: f"{c.numerator}/{c.denominator}"),
+    st.tuples(st.integers(0, 99), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]:03}"),
+    st.sampled_from(["7", "007", "3/4", "0.25"]),
+)
+
+
+class TestLoader:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), st.data())
+    def test_plain_integers_load_as_ints(self, n, m, data):
+        rows = [data.draw(st.lists(COST_ENTRIES, min_size=m, max_size=m)) for _ in range(n)]
+        doc = json.loads(json.dumps({"agents": n, "chores": m, "entitlements": [f"1/{n}"] * n,
+                                     "costs": rows}))
+        inst = ChoreInstance.from_dict(doc)
+        for row, loaded in zip(rows, inst.costs):
+            for entry, c in zip(row, loaded):
+                plain = type(entry) is int or entry.isdigit()
+                assert (type(c) is int) == plain and type(c) in (int, F), (entry, c)
+                assert c == parse_rational(entry)
+
+    @pytest.mark.parametrize("entry,message", [
+        ("-3", "cost of chore 2 for agent 1 is negative (-3)"),
+        (True, "not a rational: True"),
+        (1.5, "not a rational: 1.5 (floats are rejected; pass a string)"),
+        ("1" * 5000, f"not a rational: '{'1' * 5000}'"),
+        ("²", "not a rational: '²'"),
+    ])
+    def test_refusals(self, entry, message):
+        doc = {"agents": 1, "chores": 2, "entitlements": ["1"], "costs": [["1", entry]]}
+        with pytest.raises(InstanceError) as refused:
+            ChoreInstance.from_dict(doc)
+        assert type(refused.value) is InstanceError and str(refused.value) == message
+
+
 class TestSerialization:
     def test_bad_json_diagnostic(self, tmp_path):
         path = tmp_path / "broken.json"
