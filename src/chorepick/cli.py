@@ -24,10 +24,14 @@ from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 from operator import is_not, sub
 
-from . import algchores, entitle, fairness, ridge, shares, simulate
-from .model import (ChoreInstance, InstanceError, InvariantError, PickingOrder,
-                    PickingSequence, SizeGuardError, equal_entitlements, guard_cells,
+from .model import (STAGE_MODES, ChoreInstance, CoveringViolation, InstanceError, InvariantError,
+                    PickingOrder, PickingSequence, SizeGuardError, equal_entitlements, guard_cells,
                     load_instance, parse_rational, read_json, to_sequence)
+
+# Subcommands reach their modules as attributes of this module's own package,
+# loaded on first use. Not through sys.modules: a process may hold two copies
+# of the package (perfbench's traced and untraced sides), each calling its own.
+chorepick = sys.modules[__package__]
 
 SCHEMA_VERSION = 1
 
@@ -103,8 +107,8 @@ def _parse_entitlements(text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_order(text: str) -> PickingOrder:
-    if text in ridge.FIXED_ORDERS:
-        return ridge.fixed_order(text)
+    if text in chorepick.ridge.FIXED_ORDERS:
+        return chorepick.ridge.fixed_order(text)
     if text.endswith(".json"):
         data = read_json(text)
         try:
@@ -145,9 +149,9 @@ def _cmd_gen(args) -> dict:
             for _ in range(n))
         inst = ChoreInstance(equal_entitlements(n), rows)
     elif args.kind == "tight":
-        inst = algchores.tight_example(n)
+        inst = chorepick.algchores.tight_example(n)
     elif args.kind == "tension":
-        inst = fairness.tension_instance(fairness.envy_tension_example(n))
+        inst = chorepick.fairness.tension_instance(chorepick.fairness.envy_tension_example(n))
     else:  # gap
         row = tuple(Fraction(n, 2 * n + 1) for _ in range(2 * n + 1))
         inst = ChoreInstance(equal_entitlements(n), tuple([row] * n))
@@ -156,8 +160,8 @@ def _cmd_gen(args) -> dict:
 
 def _cmd_shares(args) -> dict:
     inst = load_instance(args.input)
-    report = shares.share_report(inst, with_mms=not args.no_mms,
-                                 with_aps=not args.no_aps, force=args.force)
+    report = chorepick.shares.share_report(inst, with_mms=not args.no_mms,
+                                           with_aps=not args.no_aps, force=args.force)
     return {"shares": dataclasses.asdict(report)}
 
 
@@ -165,8 +169,8 @@ def _cmd_build(args) -> dict:
     if args.mode == "equal":
         if args.n is None or args.rho is None:
             raise ValueError("equal mode needs --n and --rho")
-        sched = ridge.ridge_periods(args.n, parse_rational(args.rho), args.schedule)
-        order = ridge.synthesize_order(sched, args.m)
+        sched = chorepick.ridge.ridge_periods(args.n, parse_rational(args.rho), args.schedule)
+        order = chorepick.ridge.synthesize_order(sched, args.m)
         return {
             "order": order.expand(args.m),
             "periods": sched.periods,
@@ -175,9 +179,9 @@ def _cmd_build(args) -> dict:
     if args.entitlements is None:
         raise ValueError("arbitrary mode needs --entitlements")
     ents = _parse_entitlements(args.entitlements)
-    scaling = (entitle.half_plus_x if args.scaling == "half-plus-x"
-               else entitle.ScalingFunction(parse_rational(args.t)))
-    pipeline = entitle.build_fractional(ents, scaling, args.m)
+    scaling = (chorepick.entitle.half_plus_x if args.scaling == "half-plus-x"
+               else chorepick.entitle.ScalingFunction(parse_rational(args.t)))
+    pipeline = chorepick.entitle.build_fractional(ents, scaling, args.m)
     out = {
         "order": pipeline.order().expand(args.m),
         "sorted_entitlements": pipeline.sorted_entitlements,
@@ -195,7 +199,7 @@ def _cmd_simulate(args) -> dict:
     inst = load_instance(args.input)
     order = _parse_order(args.order)
     seq = to_sequence(order, inst.m)
-    played = simulate.greedy_play(seq, inst)
+    played = chorepick.simulate.greedy_play(seq, inst)
     return {"sequence": seq.rounds, **_allocation(inst, played)}
 
 
@@ -210,7 +214,7 @@ def _cmd_evaluate(args) -> dict:
     elif n < 1:
         raise InstanceError(f"agent count must be positive, got n = {n}")
     guard_cells(n, args.m, "the evaluation")
-    result = simulate.evaluate_order(order, n, args.m)
+    result = chorepick.simulate.evaluate_order(order, n, args.m)
     return {
         "ratio": result.ratio,
         "per_agent": {
@@ -225,23 +229,24 @@ def _cmd_evaluate(args) -> dict:
 
 
 def _cmd_ratio_test(args) -> dict:
-    sched = ridge.ridge_periods(args.n, parse_rational(args.rho), args.mode)
-    return {**ridge.covering_test(sched, args.horizon).to_dict(), "ridge_ok": sched.ridge_ok}
+    sched = chorepick.ridge.ridge_periods(args.n, parse_rational(args.rho), args.mode)
+    verdict = chorepick.ridge.covering_test(sched, args.horizon)
+    return {**verdict.to_dict(), "ridge_ok": sched.ridge_ok}
 
 
 def _cmd_search(args) -> dict:
-    best = ridge.best_ratio_search(args.n, args.mode, parse_rational(args.tol))
+    best = chorepick.ridge.best_ratio_search(args.n, args.mode, parse_rational(args.tol))
     return {"best_rho": best, "best_rho_float": float(best)}
 
 
 def _cmd_algchores(args) -> dict:
     inst = load_instance(args.input)
-    result = algchores.alg_chores(inst, trace=args.trace)
+    result = chorepick.algchores.alg_chores(inst, trace=args.trace)
     out = {**_allocation(inst, result.allocation), "rotations": result.rotations}
     if args.trace:
         out["rounds"] = [dataclasses.asdict(r) for r in result.trace]
     if args.with_aps:
-        anyprice = shares.share_report(inst, with_mms=False, force=args.force).anyprice
+        anyprice = chorepick.shares.share_report(inst, with_mms=False, force=args.force).anyprice
         out["anyprice_ratios"] = {
             str(i): {"anyprice": aps, "ratio": out["bundle_costs"][str(i)] / aps if aps else None}
             for i, aps in enumerate(anyprice, start=1)}
@@ -251,22 +256,23 @@ def _cmd_algchores(args) -> dict:
 def _cmd_envy(args) -> dict:
     seq = PickingSequence(tuple(int(x) for x in args.seq.split(","))) if args.seq else None
     if args.tension_example is not None:
-        return dataclasses.asdict(fairness.envy_tension_example(args.tension_example, seq))
+        example = chorepick.fairness.envy_tension_example(args.tension_example, seq)
+        return dataclasses.asdict(example)
     if seq is None:
         raise ValueError("--seq is required unless --tension-example is used")
     if args.check_suffix:
         i, j = args.check_suffix
-        return dataclasses.asdict(fairness.suffix_envy_condition(seq, i, j))
+        return dataclasses.asdict(chorepick.fairness.suffix_envy_condition(seq, i, j))
     if args.audit is None or args.input is None:
         raise ValueError("audit mode needs --audit and --input")
     inst = load_instance(args.input)
-    report = fairness.ef_ra_audit(seq, args.audit, inst.costs, inst.entitlements)
+    report = chorepick.fairness.ef_ra_audit(seq, args.audit, inst.costs, inst.entitlements)
     return {**dataclasses.asdict(report), "ok": report.ok}
 
 
 def _cmd_verify(args) -> dict:
     ents = _parse_entitlements(args.entitlements)
-    report = entitle.verify_guarantee(ents, trials=args.trials, seed=args.seed, m=args.m)
+    report = chorepick.entitle.verify_guarantee(ents, trials=args.trials, seed=args.seed, m=args.m)
     return {**dataclasses.asdict(report), "ok": report.ok}
 
 
@@ -342,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envy", help="suffix condition, stage audits, tension example")
     p.add_argument("--seq", help="comma-separated picker ids")
     p.add_argument("--check-suffix", nargs=2, type=int, metavar=("I", "J"))
-    p.add_argument("--audit", choices=fairness.STAGE_MODES)
+    p.add_argument("--audit", choices=STAGE_MODES)
     p.add_argument("--input", help="instance file (audit)")
     p.add_argument("--tension-example", type=int)
     p.set_defaults(run=_cmd_envy)
@@ -374,7 +380,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory: the input is too large for this process", file=sys.stderr)
         return EXIT_GUARD
-    except (InstanceError, ValueError, ridge.CoveringViolation) as exc:
+    except (InstanceError, ValueError, CoveringViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InvariantError as exc:

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import (CELL_LIMIT, ChoreInstance, PickingSequence, SizeGuardError, _exact_costs,
-                    parse_rational)
+from .model import (CELL_LIMIT, STAGE_MODES, ChoreInstance, PickingSequence, SizeGuardError,
+                    _exact_costs, parse_rational)
 from .simulate import _greedy_picks, check_rounds, guaranteed_disvalue
 
 ZERO = Fraction(0)
 
-STAGE_MODES = ("random_bijection", "label_pick", "prsd")
 AUDIT_LIMIT = 12   # random rows reach about 6,000 (placed, taken) audit states at n = 12
 
 
@@ -79,13 +78,12 @@ def suffix_envy_condition(seq: PickingSequence, i: int, j: int) -> SuffixEnvyRes
 def label_guarantees(seq: PickingSequence, costs: Sequence[Fraction],
                      n: int) -> dict[int, Fraction]:
     """Guarantee of each label's round set under one agent's costs."""
-    return {lab: Fraction(g) for lab, g in _label_sums(seq, costs, n).items()}
+    return {lab: Fraction(g) for lab, g in _label_sums(seq, seq.positions(n), costs).items()}
 
 
-def _label_sums(seq: PickingSequence, costs, n: int) -> dict:
-    """`label_guarantees` in the costs' own type, from one ranking of the row:
-    round r guarantees the r-th cheapest cost, as in `guaranteed_disvalue`."""
-    held = seq.positions(n)   # refuses a label outside 1..n first
+def _label_sums(seq: PickingSequence, held, costs) -> dict:
+    """`label_guarantees` in the costs' own type, from ``held = seq.positions(n)`` and one
+    ranking of the row: round r guarantees the r-th cheapest cost, as in `guaranteed_disvalue`."""
     check_rounds(seq, len(costs))
     ranked = sorted(_exact_costs(costs))
     return {lab: sum(ranked[r - 1] for r in rounds) for lab, rounds in enumerate(held, start=1)}
@@ -99,7 +97,8 @@ def _stage_inputs(mode: str, seq: PickingSequence, cost_rows, entitlements):
     b = [parse_rational(x) for x in entitlements]
     if len(b) != n:
         raise ValueError(f"expected {n} entitlements, got {len(b)}")
-    return n, b, {a: _label_sums(seq, cost_rows[a - 1], n) for a in range(1, n + 1)}
+    held = seq.positions(n) if n else ()   # no rows read no label, so none is refused
+    return n, b, {a: _label_sums(seq, held, cost_rows[a - 1]) for a in range(1, n + 1)}
 
 
 def preliminary_stage(mode: str, seq: PickingSequence,

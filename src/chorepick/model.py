@@ -49,6 +49,13 @@ class InvariantError(RuntimeError):
     """A construction broke one of its own invariants: a bug, not bad input."""
 
 
+class CoveringViolation(RuntimeError):
+    """Order synthesis got stuck: the schedule cannot cover some round."""
+
+
+STAGE_MODES = ("random_bijection", "label_pick", "prsd")   # fairness.preliminary_stage's modes
+
+
 def invariant(holds: bool, message: str) -> None:
     """Raise InvariantError unless ``holds``; unlike assert, it survives -O."""
     if not holds:

@@ -63,7 +63,8 @@ from functools import cached_property
 from itertools import chain, count, repeat, zip_longest
 from typing import Iterable, Sequence
 
-from .model import InstanceError, PickingOrder, SizeGuardError, invariant, parse_rational
+from .model import (CoveringViolation, InstanceError, PickingOrder, SizeGuardError, invariant,
+                    parse_rational)
 
 EXACT_RATIO_LIMIT = 128
 RATE_SCALE = 1 << 64   # fixed-point scale of the certified covering bounds
@@ -73,10 +74,6 @@ SCAN_LIMIT = 1 << 24
 SEARCH_LO, SEARCH_HI = Fraction(101, 100), Fraction(2)  # best_ratio_search bracket
 ROOT_WIDTH = Fraction(1, 10 ** 6)   # scalar root brackets start 2^17 widths wide
 ROOT_START = (Fraction(7, 5), Fraction(7, 5) + (1 << 17) * ROOT_WIDTH)
-
-
-class CoveringViolation(RuntimeError):
-    """Order synthesis got stuck: the schedule cannot cover some round."""
 
 
 def _steps(*runs: tuple) -> Iterable[tuple[int, int, int]]:

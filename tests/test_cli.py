@@ -572,17 +572,36 @@ def test_argv_fuzz_ends_in_a_documented_exit(argv):
 
 
 def test_imports_only_the_standard_library(run_python):
-    # Pins dependencies = []: importing the CLI pulls in nothing outside the
-    # package and the standard library. Modules loaded before the import
-    # (site hooks of the environment) do not count.
-    script = ("import json, sys\n"
+    # Pins dependencies = []: the CLI and one run of every subcommand pull in
+    # nothing outside the package and the standard library. Each subcommand
+    # loads its modules when it runs, so importing the CLI alone would not
+    # show them. Modules loaded before the import (site hooks of the
+    # environment) do not count.
+    general, tight = str(GOLDEN / "general.json"), str(GOLDEN / "tight3.json")
+    calls = [["gen", "--kind", "tight", "--n", "3"],
+             ["shares", "--input", general],
+             ["build", "--entitlements", "1/3,2/3", "--m", "6"],
+             ["build", "--mode", "equal", "--n", "4", "--rho", "3/2", "--m", "8"],
+             ["simulate", "--order", "n3", "--input", tight],
+             ["evaluate", "--order", "n2", "--m", "8"],
+             ["ratio-test", "--n", "8", "--rho", "8/5"],
+             ["search", "--n", "4", "--tol", "1/10"],
+             ["algchores", "--input", general, "--with-aps"],
+             ["envy", "--seq", "1,2,3,3,2,1", "--audit", "label_pick", "--input", general],
+             ["verify", "--entitlements", "1/3,2/3", "--m", "12", "--trials", "2"]]
+    script = ("import contextlib, io, json, sys\n"
               "before = set(sys.modules)\n"
               "import chorepick.cli\n"
-              "print(json.dumps(sorted({name.partition('.')[0]\n"
-              "                         for name in set(sys.modules) - before})))\n")
-    done = run_python("-c", script)
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [chorepick.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n")
+    done = run_python("-c", script, json.dumps(calls))
     assert done.returncode == 0, done.stderr
-    added = json.loads(done.stdout)
-    assert "chorepick" in added
-    assert [name for name in added
-            if name != "chorepick" and name not in sys.stdlib_module_names] == []
+    codes, added = json.loads(done.stdout)
+    assert codes == [EXIT_OK] * len(calls)
+    assert {name for name in added if name.partition(".")[0] == "chorepick"} == {
+        "chorepick", *(f"chorepick.{m}" for m in (
+            "cli", "model", "_simplex", "shares", "simulate", "ridge", "entitle", "algchores",
+            "fairness"))}
+    assert [name for name in added if name.partition(".")[0] != "chorepick"
+            and name.partition(".")[0] not in sys.stdlib_module_names] == []

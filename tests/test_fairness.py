@@ -368,6 +368,31 @@ class TestRoundingRecipeEnvy:
         assert time.perf_counter() - start < 1
         assert sorted(stage.values()) == list(range(1, 501))
 
+    def test_label_stage_maps_positions_once(self, monkeypatch):
+        # The label rounds are one map per stage, not one per agent's row.
+        calls = {}
+        positions = PickingSequence.positions
+
+        def counted(seq, n):
+            calls[n] = calls.get(n, 0) + 1
+            return positions(seq, n)
+
+        monkeypatch.setattr(PickingSequence, "positions", counted)
+        for n in (10, 50):
+            seq = PickingSequence(tuple(range(1, n + 1)))
+            rows = [list(range(n, 0, -1))] * n
+            assert sorted(preliminary_stage("label_pick", seq, rows, [F(1, n)] * n).values()) \
+                == list(range(1, n + 1))
+        assert calls[10] == calls[50]
+
+    @pytest.mark.parametrize("mode", STAGE_MODES)
+    def test_no_agents_takes_no_label(self, mode):
+        # With no cost rows no label is read, so the sequence's labels are
+        # never checked against n = 0.
+        seq = PickingSequence((1, 2))
+        assert preliminary_stage(mode, seq, [], []) == {}
+        assert ef_ra_audit(seq, mode, [], []).mode == mode
+
     def test_suffix_condition_bounds_guarantees_for_any_costs(self):
         # When the count condition holds, j's rounds guarantee at least as
         # much disvalue as i's under every cost row, not just 0/1 steps.
